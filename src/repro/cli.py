@@ -526,7 +526,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "split the cluster at AT seconds for DURATION seconds; GROUPS is "
             "pipe-separated comma lists of replica ids (e.g. '3' isolates "
-            "replica 3, '0,1|2,3' splits in half); repeatable"
+            "replica 3, '0,1|2,3' splits in half); combine with --durability "
+            "so the cut-off side catches up from its peers' WALs; repeatable"
         ),
     )
     chaos_parser.add_argument(
@@ -1096,6 +1097,13 @@ def _command_chaos(args: argparse.Namespace) -> int:
             undetectable_faults=args.byzantine,
         )
     validate_fault_plan(plan, args.replicas)
+    if (plan.partitions or plan.oneway_drops) and not args.durability:
+        print(
+            "chaos: WARNING partition without --durability: replicas keep no "
+            "block history in memory, so a replica that misses blocks behind "
+            "the cut cannot be caught up after the heal",
+            file=sys.stderr,
+        )
     spec = ClusterSpec(
         num_replicas=args.replicas,
         num_instances=args.instances,

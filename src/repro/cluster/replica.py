@@ -18,12 +18,12 @@ use :mod:`repro.cluster.pipeline`.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro.cluster.messages import ClientReply, ClientRequest
 from repro.core.epochs import CheckpointQuorum
 from repro.core.interfaces import ConsensusCore
-from repro.core.outcomes import ConfirmationPath, TxOutcome, TxStatus
+from repro.core.outcomes import ConfirmationPath, TxStatus
 from repro.ledger.blocks import Block
 from repro.metrics.summary import MetricsCollector
 from repro.net.transport import NodeTransport
@@ -73,6 +73,9 @@ class MultiBFTReplica(Process):
         self._pbft_config = pbft_config or PBFTConfig()
         self.endpoints: dict[int, PBFTEndpoint] = {}
         self._next_sequence: dict[int, int] = {}
+        #: Client node to answer, per requested transaction not yet executed
+        #: (popped when the reply is sent; retransmissions after that are
+        #: answered from the reply cache or the core's terminal status).
         self._client_of_tx: dict[str, int] = {}
         #: Reply cache: lets a retransmitted request for an already-executed
         #: transaction be answered immediately (the live client's retry path;
@@ -92,8 +95,6 @@ class MultiBFTReplica(Process):
         self.noop_interval = 0.5
         self._started = False
         self._crashed = False
-        #: Confirmations produced by this replica (inspected by tests).
-        self.outcomes: list[TxOutcome] = []
         #: Observability.  The sim path passes neither registry nor tracer,
         #: so every instrument below is an inert singleton and the replica's
         #: behaviour (and the simulator's determinism) is untouched.
@@ -241,17 +242,25 @@ class MultiBFTReplica(Process):
             self._cache_reply(reply)
             self.transport.send(request.client_node, reply)
             return
-        self._client_of_tx[tx.tx_id] = request.client_node
-        if self.metrics is not None or self.tracer is not None:
-            now = self.transport.now()
-            if self.metrics is not None:
-                self.metrics.latency.record_received(tx.tx_id, now)
-            if self.tracer is not None and self.tracer.sampled(tx.tx_id):
-                self.tracer.emit(tx.tx_id, "received", now)
         try:
             buckets = self.core.submit(tx)
         except Exception:
             return
+        # Only an accepted, unexecuted transaction gets per-transaction state
+        # here: everything below is released when it executes, and neither a
+        # retransmission of an executed transaction (answered above) nor a
+        # rejected submission ever would.
+        self._client_of_tx[tx.tx_id] = request.client_node
+        if self.metrics is not None or self.tracer is not None:
+            now = self.transport.now()
+            if self.metrics is not None:
+                if tx.submitted_at is not None:
+                    # Client-stamped submission time (one shared clock per
+                    # host) opens the "send" stage of the breakdown.
+                    self.metrics.latency.record_submitted(tx.tx_id, tx.submitted_at)
+                self.metrics.latency.record_received(tx.tx_id, now)
+            if self.tracer is not None and self.tracer.sampled(tx.tx_id):
+                self.tracer.emit(tx.tx_id, "received", now)
         # Censorship detection: expect progress on every instance this
         # transaction was assigned to (Sec. V-B).
         for instance in buckets:
@@ -288,10 +297,7 @@ class MultiBFTReplica(Process):
         (queued or pulled-but-unconfirmed), or globally delivered blocks are
         waiting for *some* instance to advance — a stalled instance must keep
         rotating leaders until the global log drains, or the whole cluster
-        wedges on its frontier.  Deliberately *not* raw bucket length:
-        executed transactions stay physically queued on backups until epoch
-        GC, and counting them would fire spurious view changes on every
-        healthy-but-idle cluster.
+        wedges on its frontier.
         """
         return (
             self.core.pending_work(instance) > 0
@@ -403,8 +409,12 @@ class MultiBFTReplica(Process):
         now = self.transport.now()
         tracer = self.tracer
         if self.metrics is not None:
+            status_of = self.core.status_of
             for tx in block.transactions:
-                self.metrics.latency.record_delivered(tx.tx_id, now)
+                # A multi-bucket transaction rejected through one instance is
+                # still carried by the other's block; its timeline is closed.
+                if not status_of(tx.tx_id).terminal:
+                    self.metrics.latency.record_delivered(tx.tx_id, now)
         if tracer is not None:
             view = self.endpoints[block.instance].view
             for tx in block.transactions:
@@ -414,13 +424,11 @@ class MultiBFTReplica(Process):
                     )
         if self._obs_on:
             self._sb_delivered_at[(block.instance, block.sequence_number)] = now
-        ordered_before = self.core.global_orderer.ordered_count
         outcomes = self.core.on_block_delivered(block)
         if self.durability is not None:
             self.durability.on_block_delivered(block)
         if self._obs_on:
-            self._note_bar_released(ordered_before, now)
-        self.outcomes.extend(outcomes)
+            self._note_bar_released(self.core.global_orderer.last_released, now)
         for outcome in outcomes:
             if self.metrics is not None:
                 self.metrics.record_outcome(
@@ -431,7 +439,7 @@ class MultiBFTReplica(Process):
                 )
             if tracer is not None and tracer.sampled(outcome.tx.tx_id):
                 tracer.emit(outcome.tx.tx_id, "executed", now)
-            client_node = self._client_of_tx.get(outcome.tx.tx_id)
+            client_node = self._client_of_tx.pop(outcome.tx.tx_id, None)
             if client_node is not None:
                 reply = ClientReply(
                     tx_id=outcome.tx.tx_id,
@@ -450,10 +458,9 @@ class MultiBFTReplica(Process):
         probe = getattr(self.core.global_orderer, "conflict_graph_size", None)
         return probe() if probe is not None else 0
 
-    def _note_bar_released(self, ordered_before: int, now: float) -> None:
+    def _note_bar_released(self, released: Sequence[Block], now: float) -> None:
         """Record release-wait time and trace ``bar_released`` for every block
         the last delivery pushed past the global-ordering gate."""
-        released = self.core.global_orderer.global_log[ordered_before:]
         tracer = self.tracer
         for ordered_block in released:
             key = (ordered_block.instance, ordered_block.sequence_number)

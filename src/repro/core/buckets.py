@@ -2,10 +2,10 @@
 
 Each bucket is an append-only queue for backups; the instance's leader may
 additionally *pull* transactions when forming a block.  Duplicate submissions
-are ignored, and transactions that have already reached a terminal status can
-be purged during garbage collection.
+are ignored, and a transaction is purged the moment it reaches a terminal
+status (``ConsensusCore._set_status``; epoch garbage collection sweeps again).
 
-Purging is lazy: garbage collection only moves the purged ids into a ghost
+Purging is lazy: it only moves the purged ids into a ghost
 set (O(ids), not O(queue)), and the stale queue entries are skipped when the
 scan reaches them (or dropped wholesale once ghosts outnumber live entries).
 An id can occupy at most one queue slot at any time — ``push``/``requeue``/

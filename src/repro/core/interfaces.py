@@ -55,10 +55,9 @@ class ConsensusCore:
         )
         self._status: dict[str, TxStatus] = {}
         #: Bucket indices each non-terminal transaction is assigned to, and
-        #: the per-instance count of such transactions.  This is the O(1)
-        #: "work owed" signal the failure detector needs: raw bucket length
-        #: would overcount, because executed transactions stay physically
-        #: queued on backups until epoch garbage collection.
+        #: the per-instance count of such transactions: the O(1) "work owed"
+        #: signal the failure detector needs, and the buckets to clear when
+        #: the transaction turns terminal.
         self._pending_assignments: dict[str, tuple[int, ...]] = {}
         self._pending_per_instance: list[int] = [0] * config.num_instances
         self._delivered_frontier = [-1] * config.num_instances
@@ -182,8 +181,15 @@ class ConsensusCore:
         self._status[tx.tx_id] = status
         if status.terminal:
             self.confirmed_count += 1
+            dead = (tx.tx_id,)
             for index in self._pending_assignments.pop(tx.tx_id, ()):
                 self._pending_per_instance[index] -= 1
+                # The bucket's copy is dead from here on: the leader's
+                # in-flight entry, or the one a backup queued and would
+                # otherwise keep until an epoch boundary.
+                bucket = self.buckets[index]
+                bucket.mark_confirmed(dead)
+                bucket.purge(dead)
 
     # -- epochs / checkpoints ------------------------------------------------
 
@@ -197,14 +203,16 @@ class ConsensusCore:
                 state_digest=self.store.state_digest(),
             )
             checkpoints.append(checkpoint)
-            self._garbage_collect(epoch)
+            self._garbage_collect()
         return checkpoints
 
-    def _garbage_collect(self, epoch: int) -> None:
-        """Discard data belonging to a stably completed epoch."""
-        boundary = self.epochs.first_sequence_of(epoch + 1)
-        for plog in self.plogs:
-            plog.prune_below(boundary)
+    def _garbage_collect(self) -> None:
+        """Sweep every terminal transaction out of every bucket (Sec. V-D).
+
+        Blocks, slots and the bucket entries recorded at submission are
+        released as they die, whatever the epoch length; what is left for the
+        epoch boundary is a copy submitted after its transaction executed.
+        """
         confirmed = [tx_id for tx_id, status in self._status.items() if status.terminal]
         for bucket in self.buckets:
             bucket.mark_confirmed(confirmed)

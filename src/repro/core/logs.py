@@ -1,10 +1,11 @@
 """Partial logs (``plog``) and the processed-frontier bookkeeping.
 
 Every instance has one partial log per replica: the blocks that instance has
-delivered, indexed by sequence number.  The execution engine walks each
-partial log in order; a position may only be processed once the block's
-referenced system state ``b.S`` is covered by what the replica has already
-processed, which realises the cross-instance references of Sec. II-A.
+delivered and the replica has not processed yet, indexed by sequence number.
+The execution engine walks each partial log in order; a position may only be
+processed once the block's referenced system state ``b.S`` is covered by what
+the replica has already processed, which realises the cross-instance
+references of Sec. II-A.
 """
 
 from __future__ import annotations
@@ -13,24 +14,40 @@ from repro.ledger.blocks import Block, SystemState
 
 
 class PartialLog:
-    """Delivered blocks of one SB instance, processed in sequence order."""
+    """Blocks one SB instance delivered, held until they are processed.
+
+    A block is kept from :meth:`add` to :meth:`mark_processed` and no longer:
+    what stays behind is the processed frontier, which is all that duplicate
+    detection, snapshots and the execution engine need from the past.
+    """
 
     def __init__(self, instance: int) -> None:
         self.instance = instance
         self._blocks: dict[int, Block] = {}
         self._next_to_process = 0
         self._highest_delivered = -1
+        #: Sequence numbers processed ahead of a gap.  Orthrus processes each
+        #: log strictly in order and PBFT delivers in order, so this stays
+        #: empty there; the baselines process a block the moment it arrives,
+        #: and the pipeline simulator can deliver an instance's blocks out of
+        #: order.
+        self._processed_ahead: set[int] = set()
 
     def add(self, block: Block) -> bool:
         """Record a delivered block; returns False for duplicates."""
-        if block.sequence_number in self._blocks:
+        sequence_number = block.sequence_number
+        if (
+            sequence_number < self._next_to_process
+            or sequence_number in self._blocks
+            or sequence_number in self._processed_ahead
+        ):
             return False
-        self._blocks[block.sequence_number] = block
-        self._highest_delivered = max(self._highest_delivered, block.sequence_number)
+        self._blocks[sequence_number] = block
+        self._highest_delivered = max(self._highest_delivered, sequence_number)
         return True
 
     def get(self, sequence_number: int) -> Block | None:
-        """Block at ``sequence_number`` if delivered."""
+        """Block at ``sequence_number`` if delivered and not yet processed."""
         return self._blocks.get(sequence_number)
 
     @property
@@ -47,9 +64,16 @@ class PartialLog:
         """The next block awaiting processing, if it has been delivered."""
         return self._blocks.get(self._next_to_process)
 
-    def advance(self) -> None:
-        """Mark the current head position as processed."""
+    def mark_processed(self, sequence_number: int) -> None:
+        """Settle one position and release its block."""
+        self._blocks.pop(sequence_number, None)
+        if sequence_number != self._next_to_process:
+            self._processed_ahead.add(sequence_number)
+            return
         self._next_to_process += 1
+        while self._next_to_process in self._processed_ahead:
+            self._processed_ahead.discard(self._next_to_process)
+            self._next_to_process += 1
 
     def fast_forward(self, next_to_process: int) -> None:
         """Resume after a snapshot restore: everything below
@@ -60,17 +84,6 @@ class PartialLog:
             self._highest_delivered = max(
                 self._highest_delivered, next_to_process - 1
             )
-
-    def prune_below(self, sequence_number: int) -> int:
-        """Garbage-collect processed blocks below ``sequence_number``."""
-        stale = [
-            sn
-            for sn in self._blocks
-            if sn < sequence_number and sn < self._next_to_process
-        ]
-        for sn in stale:
-            del self._blocks[sn]
-        return len(stale)
 
     def __len__(self) -> int:
         return len(self._blocks)

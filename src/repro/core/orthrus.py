@@ -113,9 +113,9 @@ class OrthrusCore(ConsensusCore):
                 break
             scanned += 1
             if self.status_of(tx.tx_id).terminal:
-                # Confirmed through another instance; drops out of the queue
-                # here (it stays in the in-flight map until garbage
-                # collection clears terminal ids, exactly as before).
+                # Submitted again after it executed (the copies queued at
+                # submission are purged when the status turns terminal).
+                bucket.mark_confirmed((tx.tx_id,))
                 continue
             if self._affordable(tx, instance):
                 self._reserve_inflight(tx, instance)
@@ -213,7 +213,7 @@ class OrthrusCore(ConsensusCore):
                 if not self.frontier.covers(block.state):
                     continue
                 outcomes.extend(self._process_block_partial(block))
-                plog.advance()
+                plog.mark_processed(block.sequence_number)
                 self.frontier.advance(block.instance, block.sequence_number)
                 self.epochs.record_processed(block.instance, block.sequence_number)
                 advanced = True

@@ -9,7 +9,7 @@ both count towards throughput; only the path that produced them differs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ledger.transactions import Transaction
 
@@ -34,16 +34,19 @@ class ConfirmationPath(enum.Enum):
     GLOBAL = "global"
 
 
-@dataclass
+@dataclass(slots=True)
 class TxOutcome:
-    """A confirmation event for one transaction."""
+    """A confirmation event for one transaction.
+
+    Transient: a core returns outcomes from ``on_block_delivered`` and the
+    host turns each into metrics and a client reply; nothing keeps them.
+    """
 
     tx: Transaction
     status: TxStatus
     path: ConfirmationPath
     instance: int
     reason: str = ""
-    metadata: dict[str, object] = field(default_factory=dict)
 
     @property
     def committed(self) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.crypto.digest import escape_json_string
 
@@ -57,9 +57,13 @@ MUTATING_KINDS = frozenset(
 COMMUTATIVE_KINDS = frozenset({OperationKind.INCREMENT, OperationKind.DECREMENT})
 
 
-@dataclass(frozen=True)
-class ObjectOperation:
+class ObjectOperation(NamedTuple):
     """One object reference inside a transaction.
+
+    A named tuple: immutable and hashable like the frozen dataclass it
+    replaces, but one object per operation (no instance ``__dict__``) and a
+    C-level constructor — a replica decodes every operation of every
+    transaction, and each one stays live until its block is executed.
 
     Attributes:
         key: Identifier of the object (an account address or contract slot).

@@ -42,9 +42,15 @@ class TransactionType(enum.Enum):
     CONTRACT = "contract"
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Transaction:
     """A client transaction.
+
+    Slotted, and ``signatures``/``metadata`` default to ``None`` rather than
+    an empty dict each: almost every transaction carries neither, so a
+    transaction in flight is one collector-tracked object plus its
+    operations, on every replica.  Identity is the ``tx_id`` (see
+    ``__eq__``/``__hash__`` below).
 
     Attributes:
         tx_id: Unique identifier.
@@ -53,8 +59,9 @@ class Transaction:
         payload_size: Bytes of client payload carried (500 in the paper).
         client_id: Submitting client (set by the workload/client layer).
         signatures: Owner signatures for owned-object decrements, keyed by
-            the owning account.
+            the owning account (``None``: unsigned).
         submitted_at: Simulated submission time (filled in by the client).
+        metadata: Free-form JSON annotations (``None``: none).
     """
 
     tx_id: str
@@ -62,9 +69,15 @@ class Transaction:
     tx_type: TransactionType
     payload_size: int = DEFAULT_PAYLOAD_BYTES
     client_id: str | None = None
-    signatures: Mapping[str, Signature] = field(default_factory=dict)
+    signatures: Mapping[str, Signature] | None = None
     submitted_at: float | None = None
-    metadata: dict[str, Any] = field(default_factory=dict)
+    metadata: Mapping[str, Any] | None = None
+    #: Lazily memoized content digest and owned-decrement slice of
+    #: ``operations`` (both immutable after construction).
+    _digest_memo: str | None = field(default=None, init=False, repr=False)
+    _decrements_memo: list[ObjectOperation] | None = field(
+        default=None, init=False, repr=False
+    )
 
     # -- classification helpers -------------------------------------------
 
@@ -131,13 +144,6 @@ class Transaction:
     def size_bytes(self) -> int:
         """Wire size estimate used by the bandwidth model."""
         return self.payload_size
-
-    # Lazily memoized content digest: a class-level sentinel (deliberately
-    # unannotated so the dataclass machinery does not treat it as a field);
-    # the instance attribute shadows it after the first access.
-    _digest_memo = None
-    # Same pattern for the owned-decrement slice of ``operations``.
-    _decrements_memo = None
 
     def digest_fields(self) -> dict[str, Any]:
         """Canonical fields for hashing."""

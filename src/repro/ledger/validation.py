@@ -83,7 +83,7 @@ class TransactionValidator:
         errors: list[str] = []
         assert self._pki is not None
         for payer in tx.payers():
-            signature = tx.signatures.get(payer)
+            signature = (tx.signatures or {}).get(payer)
             if signature is None:
                 errors.append(f"missing signature from payer {payer!r}")
                 continue

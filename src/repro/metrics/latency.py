@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
+from operator import attrgetter
 
 #: Stage names in pipeline order (used for reports and plots).
 STAGE_NAMES: tuple[str, ...] = (
@@ -36,7 +37,7 @@ STAGE_BOUNDARIES: tuple[tuple[str, str, str], ...] = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionTimeline:
     """Boundary timestamps of one transaction's journey (seconds)."""
 
@@ -104,11 +105,36 @@ class LatencySummary:
         )
 
 
+#: The six stage boundaries of a timeline, in pipeline order, in one C call.
+_boundaries = attrgetter(
+    STAGE_BOUNDARIES[0][1], *(end for _, _, end in STAGE_BOUNDARIES)
+)
+
+
+def _add_stages(
+    timeline: TransactionTimeline, totals: list[float], counts: list[int]
+) -> None:
+    """Add every stage ``timeline`` holds both boundaries of (``totals`` and
+    ``counts`` are indexed like ``STAGE_NAMES``)."""
+    times = _boundaries(timeline)
+    start = times[0]
+    for stage in range(len(STAGE_NAMES)):
+        end = times[stage + 1]
+        if start is not None and end is not None:
+            totals[stage] += end - start
+            counts[stage] += 1
+        start = end
+
+
 class LatencyTracker:
     """Collects transaction timelines and produces latency statistics."""
 
     def __init__(self) -> None:
         self._timelines: dict[str, TransactionTimeline] = {}
+        #: Per-stage duration totals and sample counts of timelines no longer
+        #: held (zeros here: only :class:`StreamingLatencyTracker` drops any).
+        self._folded_totals = [0.0] * len(STAGE_NAMES)
+        self._folded_counts = [0] * len(STAGE_NAMES)
 
     def timeline(self, tx_id: str) -> TransactionTimeline:
         """Get or create the timeline for a transaction."""
@@ -219,19 +245,13 @@ class LatencyTracker:
         complete; the load generator measures the reply stage itself and
         merges it in.
         """
-        totals = {name: 0.0 for name in STAGE_NAMES}
-        counts = {name: 0 for name in STAGE_NAMES}
+        totals = list(self._folded_totals)
+        counts = list(self._folded_counts)
         for timeline in self._timelines.values():
-            for name, start_attr, end_attr in STAGE_BOUNDARIES:
-                start = getattr(timeline, start_attr)
-                end = getattr(timeline, end_attr)
-                if start is None or end is None:
-                    continue
-                totals[name] += end - start
-                counts[name] += 1
+            _add_stages(timeline, totals, counts)
         return {
-            name: (totals[name] / counts[name] if counts[name] else 0.0)
-            for name in STAGE_NAMES
+            name: (total / count if count else 0.0)
+            for name, total, count in zip(STAGE_NAMES, totals, counts)
         }
 
     def stage_breakdown(self) -> dict[str, float]:
@@ -251,3 +271,23 @@ class LatencyTracker:
 
     def __len__(self) -> int:
         return len(self._timelines)
+
+
+class StreamingLatencyTracker(LatencyTracker):
+    """Stage averages for a process that never stops: a live replica.
+
+    A timeline is held only while its transaction is unconfirmed.  At
+    confirmation — the last boundary a replica observes — it is folded into
+    running per-stage sums and dropped, so the tracker's size follows the
+    transactions in flight rather than every transaction ever executed.
+    :meth:`stage_breakdown_partial` reads the same numbers the retaining
+    tracker would; per-transaction views (``timelines()``, the summaries)
+    only cover what is still open.
+    """
+
+    def record_confirmed(self, tx_id: str, time: float, *, committed: bool) -> None:
+        timeline = self._timelines.pop(tx_id, None)
+        if timeline is None:
+            return
+        timeline.confirmed_at = time
+        _add_stages(timeline, self._folded_totals, self._folded_counts)

@@ -50,8 +50,8 @@ class RunMetrics:
 class MetricsCollector:
     """Bundles the latency and throughput trackers used during a run."""
 
-    def __init__(self) -> None:
-        self.latency = LatencyTracker()
+    def __init__(self, latency: LatencyTracker | None = None) -> None:
+        self.latency = latency if latency is not None else LatencyTracker()
         self.throughput = ThroughputTracker()
         self.committed = 0
         self.rejected = 0

@@ -16,7 +16,7 @@ and return the blocks that just became globally ordered, in global order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from repro.ledger.blocks import Block
 
@@ -137,20 +137,20 @@ class GlobalOrderer:
             raise ValueError("num_instances must be positive")
         self.num_instances = num_instances
         self.stats = OrderingStats()
-        self._global_log: list[Block] = []
+        #: Blocks the most recent :meth:`on_deliver` released (empty when it
+        #: released nothing), for hosts that observe releases from outside
+        #: the consensus core that made the call.  The global order is the
+        #: concatenation of what ``on_deliver`` returns; an orderer keeps no
+        #: history of it, so a consumer that wants the log appends the returns.
+        self.last_released: Sequence[Block] = ()
         #: Logical clock: one tick per delivery (shared release-wait basis).
         self._delivery_tick = 0
         self._arrival_tick: dict[tuple[int, int], int] = {}
 
     @property
-    def global_log(self) -> list[Block]:
-        """Blocks in their final global order (grows append-only)."""
-        return self._global_log
-
-    @property
     def ordered_count(self) -> int:
         """Number of blocks globally ordered so far."""
-        return len(self._global_log)
+        return self.stats.blocks_ordered
 
     def pending_count(self) -> int:
         """Blocks delivered but not yet globally ordered."""
@@ -186,6 +186,7 @@ class GlobalOrderer:
         arrival on the logical delivery clock so :meth:`_commit` can report
         release waits uniformly across orderer families.
         """
+        self.last_released = ()
         stats = self.stats
         stats.blocks_received += 1
         if not block.transactions:
@@ -195,11 +196,11 @@ class GlobalOrderer:
         self._arrival_tick.setdefault(block.block_id, tick)
 
     def _commit(self, blocks: Iterable[Block]) -> list[Block]:
-        """Append newly ordered blocks to the global log and update stats."""
+        """Count newly ordered blocks into the global order and the stats."""
         committed = list(blocks)
         if not committed:
             return committed
-        self._global_log.extend(committed)
+        self.last_released = committed
         stats = self.stats
         stats.blocks_ordered += len(committed)
         now = self._delivery_tick

@@ -57,9 +57,12 @@ class GlobalExecutionCore(ConsensusCore):
 
     def on_block_delivered(self, block: Block) -> list[TxOutcome]:
         self._record_delivery(block)
-        if not self.plogs[block.instance].add(block):
+        plog = self.plogs[block.instance]
+        if not plog.add(block):
             return []
-        self.plogs[block.instance].advance()
+        # Executed from the global log, so the partial log has nothing to
+        # hold: it only remembers the position (duplicate detection).
+        plog.mark_processed(block.sequence_number)
         self.frontier.advance(block.instance, block.sequence_number)
         self.epochs.record_processed(block.instance, block.sequence_number)
         if self.global_orderer.wants_conflicts:

@@ -127,10 +127,11 @@ def _encode_transaction(tx: Transaction) -> dict[str, Any]:
         "payload_size": tx.payload_size,
         "client_id": tx.client_id,
         "signatures": {
-            holder: _encode_signature(sig) for holder, sig in tx.signatures.items()
+            holder: _encode_signature(sig)
+            for holder, sig in (tx.signatures or {}).items()
         },
         "submitted_at": tx.submitted_at,
-        "metadata": tx.metadata,
+        "metadata": tx.metadata or {},
     }
 
 
@@ -144,9 +145,10 @@ def _decode_transaction(data: dict[str, Any]) -> Transaction:
         signatures={
             holder: _decode_signature(sig)
             for holder, sig in data.get("signatures", {}).items()
-        },
+        }
+        or None,
         submitted_at=data.get("submitted_at"),
-        metadata=dict(data.get("metadata", {})),
+        metadata=dict(data.get("metadata", {})) or None,
     )
 
 
@@ -415,51 +417,6 @@ _OBJ_TYPES = (ObjectType.OWNED, ObjectType.SHARED)
 _TX_TYPES = (TransactionType.PAYMENT, TransactionType.CONTRACT)
 
 
-#: Decoder-private fast constructors: a frozen dataclass pays one
-#: ``object.__setattr__`` per field in ``__init__``; building the instance
-#: dict directly skips that at ~4x the speed.  Only the binary decoders use
-#: these, and the round-trip property tests pin the results field-for-field
-#: against the regular constructors.
-_new_operation = ObjectOperation.__new__
-_new_transaction = Transaction.__new__
-
-
-def _make_operation(
-    key: str, kind: OperationKind, amount: int, object_type: ObjectType
-) -> ObjectOperation:
-    op = _new_operation(ObjectOperation)
-    # In-place dict update: rebinding ``__dict__`` itself would be routed
-    # through the frozen dataclass ``__setattr__`` and refused.
-    op.__dict__.update(
-        key=key, kind=kind, amount=amount, object_type=object_type
-    )
-    return op
-
-
-def _make_transaction(
-    tx_id: str,
-    operations: tuple[ObjectOperation, ...],
-    tx_type: TransactionType,
-    payload_size: int,
-    client_id: str | None,
-    signatures: dict[str, Signature],
-    submitted_at: float | None,
-    metadata: dict[str, Any],
-) -> Transaction:
-    tx = _new_transaction(Transaction)
-    tx.__dict__ = {
-        "tx_id": tx_id,
-        "operations": operations,
-        "tx_type": tx_type,
-        "payload_size": payload_size,
-        "client_id": client_id,
-        "signatures": signatures,
-        "submitted_at": submitted_at,
-        "metadata": metadata,
-    }
-    return tx
-
-
 def _w_str(out: list[bytes], value: str) -> None:
     data = value.encode("utf-8")
     out.append(_U32.pack(len(data)))
@@ -549,11 +506,10 @@ def _b_enc_transaction(out: list[bytes], tx: Transaction) -> None:
     kind_assign = OperationKind.ASSIGN
     kind_read = OperationKind.READ
     type_owned = ObjectType.OWNED
-    for op in tx.operations:
-        data = op.key.encode("utf-8")
+    for key, kind, amount, object_type in tx.operations:
+        data = key.encode("utf-8")
         append(pack_u32(len(data)))
         append(data)
-        kind = op.kind
         kind_id = (
             0
             if kind is kind_increment
@@ -565,9 +521,7 @@ def _b_enc_transaction(out: list[bytes], tx: Transaction) -> None:
             if kind is kind_read
             else 4
         )
-        append(
-            pack_op(kind_id, op.amount, 0 if op.object_type is type_owned else 1)
-        )
+        append(pack_op(kind_id, amount, 0 if object_type is type_owned else 1))
     if tx.signatures:
         append(pack_u32(len(tx.signatures)))
         for holder, signature in tx.signatures.items():
@@ -617,21 +571,23 @@ def _b_dec_transaction(buf: bytes, off: int) -> tuple[Transaction, int]:
         kind_index, amount, type_index = unpack_op(buf, off)
         off += op_size
         add_operation(
-            _make_operation(key, _OP_KINDS[kind_index], amount, _OBJ_TYPES[type_index])
+            ObjectOperation(key, _OP_KINDS[kind_index], amount, _OBJ_TYPES[type_index])
         )
     (sig_count,) = unpack_u32(buf, off)
     off += 4
-    signatures: dict[str, Signature] = {}
-    for _ in range(sig_count):
-        holder, off = _r_str(buf, off)
-        signatures[holder], off = _r_signature(buf, off)
+    signatures: dict[str, Signature] | None = None
+    if sig_count:
+        signatures = {}
+        for _ in range(sig_count):
+            holder, off = _r_str(buf, off)
+            signatures[holder], off = _r_signature(buf, off)
+    metadata: dict[str, Any] | None = None
     if buf[off : off + 6] == _EMPTY_JSON_DICT:
-        metadata: dict[str, Any] = {}
         off += 6
     else:
         metadata, off = _r_json(buf, off)
     return (
-        _make_transaction(
+        Transaction(
             tx_id,
             tuple(operations),
             _TX_TYPES[tx_type_index],

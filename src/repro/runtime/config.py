@@ -75,7 +75,13 @@ class ReplicaRuntimeConfig:
         num_instances: SB instances (defaults to one per replica).
         batch_size: Leader batch cut size.
         batch_interval: Seconds between leader proposal ticks.
-        epoch_length: Blocks per epoch (checkpoint cadence).
+        epoch_length: Blocks per instance per epoch.  Completing an epoch is
+            what triggers a checkpoint, a durability snapshot (with WAL
+            compaction) and epoch garbage collection; the default is longer
+            than any run, so a live replica does none of the three unless
+            this is set.  Its memory does not depend on it: per-transaction
+            state is released as each transaction executes (see the
+            retention table in ``docs/live_runtime.md``).
         view_change_timeout: Failure-detector timeout in wall-clock seconds.
         workload: Account-universe parameters; the genesis state every
             replica populates before serving.  Clients must generate traffic

@@ -20,9 +20,8 @@ import signal
 import time
 from typing import Any
 
-from repro.cluster.messages import ClientRequest
 from repro.cluster.replica import MultiBFTReplica
-from repro.ledger.blocks import Block
+from repro.metrics.latency import StreamingLatencyTracker
 from repro.metrics.summary import MetricsCollector
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.trace import TraceWriter
@@ -85,7 +84,7 @@ class ReplicaServer:
 
     def __init__(self, config: ReplicaRuntimeConfig) -> None:
         self.config = config
-        self.metrics = MetricsCollector()
+        self.metrics = MetricsCollector(latency=StreamingLatencyTracker())
         #: Named-instrument registry shared by the transport, the replica and
         #: the server's own inbound-path counters; inert under ``--no-obs``.
         self.registry = MetricsRegistry() if config.obs_enabled else NULL_REGISTRY
@@ -223,10 +222,10 @@ class ReplicaServer:
         self.replica.start()
         if self.durability is not None:
             self.registry.gauge_fn("durability.catch_ups", lambda: self.catch_ups)
-        # The catch-up watchdog runs regardless of durability: a partition
-        # heal leaves the same frontier wedge as a restart's reconnection
-        # window, and the live state transfer it triggers can serve from
-        # peers' in-memory logs.  Only the post-start settle sweeps are
+        # The catch-up watchdog runs regardless of this replica's own
+        # durability: a partition heal leaves the same frontier wedge as a
+        # restart's reconnection window, and any durable peer can fill it
+        # from its WAL.  Only the post-start settle sweeps are
         # durability-specific (they cover the restart loss window).
         self._arm_catch_up()
         self.started_at = self.transport.now()
@@ -462,12 +461,6 @@ class ReplicaServer:
         if registered is None and sender not in self.transport.peers:
             registered = sender
             self.transport.register_stream(sender, writer)
-        if isinstance(message, ClientRequest) and message.tx.submitted_at is not None:
-            # Client-stamped submission time (shared monotonic clock
-            # on one host) opens the "send" stage of the breakdown.
-            self.metrics.latency.record_submitted(
-                message.tx.tx_id, message.tx.submitted_at
-            )
         self.replica.receive(sender, message)
         return registered, True
 
@@ -803,13 +796,16 @@ class ReplicaServer:
         requestor_frontier = list(request.frontier)
         if len(requestor_frontier) != width:
             requestor_frontier = (requestor_frontier + [-1] * width)[:width]
-        if self.durability is not None:
-            blocks = self.durability.wal_blocks_above(requestor_frontier)
-        else:
-            blocks = self._blocks_above(requestor_frontier)
-        # A global prefix of delivery-ordered blocks keeps every instance's
-        # subsequence a prefix too, so the requestor can apply it directly.
-        blocks = blocks[:RECOVERY_BLOCK_BATCH]
+        # History is the WAL: a replica keeps a delivered block in memory only
+        # until it has executed it, so one running without durability has
+        # nothing to hand over but its frontier and views.  A global prefix
+        # of delivery-ordered blocks keeps every instance's subsequence a
+        # prefix too, so the requestor can apply it directly.
+        blocks = (
+            self.durability.wal_blocks_above(requestor_frontier)[:RECOVERY_BLOCK_BATCH]
+            if self.durability is not None
+            else []
+        )
         checkpoint_epoch = self.replica.latest_stable_epoch()
         checkpoint_digest = (
             self.replica.stable_checkpoint_digest(checkpoint_epoch) or ""
@@ -848,27 +844,6 @@ class ReplicaServer:
                 version=self.transport.version_for(requester),
             ),
         )
-
-    def _blocks_above(self, frontier: list[int]) -> list[Block]:
-        """Missing blocks served from the in-memory partial logs.
-
-        Fallback for peers running without durability; epoch garbage
-        collection may have pruned old blocks here, in which case a durable
-        peer (or its snapshot) has to cover the gap.
-        """
-        assert self.replica is not None
-        core = self.replica.core
-        delivered = core.delivered_state().sequence_numbers
-        blocks: list[Block] = []
-        for instance, plog in enumerate(core.plogs):
-            if instance >= len(frontier):
-                break
-            for sequence in range(frontier[instance] + 1, delivered[instance] + 1):
-                block = plog.get(sequence)
-                if block is None:
-                    break
-                blocks.append(block)
-        return blocks
 
     # -- introspection ------------------------------------------------------
 

@@ -184,6 +184,8 @@ class PBFTEndpoint(SequencedBroadcastEndpoint):
         if message.block is None:
             return
         slot = self.slots.slot(message.sequence_number)
+        if slot is None:
+            return  # delivered and pruned long ago
         if slot.pre_prepared and slot.digest != message.digest:
             # Conflicting proposal for the same slot: evidence of a faulty
             # leader; the failure detector will eventually rotate it out.
@@ -207,7 +209,7 @@ class PBFTEndpoint(SequencedBroadcastEndpoint):
         if message.view != self.view or self._view_changing:
             return
         slot = self.slots.slot(message.sequence_number)
-        if slot.digest and message.digest != slot.digest:
+        if slot is None or (slot.digest and message.digest != slot.digest):
             return
         count = slot.record_prepare(sender)
         if slot.pre_prepared and not slot.prepared and count >= self.quorum:
@@ -228,7 +230,7 @@ class PBFTEndpoint(SequencedBroadcastEndpoint):
         if self._view_changing:
             return
         slot = self.slots.slot(message.sequence_number)
-        if slot.digest and message.digest != slot.digest:
+        if slot is None or (slot.digest and message.digest != slot.digest):
             return
         count = slot.record_commit(sender)
         if slot.prepared and not slot.committed and count >= self.quorum:
@@ -390,6 +392,8 @@ class PBFTEndpoint(SequencedBroadcastEndpoint):
         # are reset before the new pre-prepare is processed.
         for sequence_number, block in message.reproposals:
             slot = self.slots.slot(sequence_number)
+            if slot is None:
+                continue  # delivered here long ago; nothing left to vote on
             if not slot.delivered:
                 slot.block = None
                 slot.digest = ""

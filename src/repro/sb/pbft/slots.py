@@ -6,8 +6,16 @@ from dataclasses import dataclass, field
 
 from repro.ledger.blocks import Block
 
+#: Delivered slots kept behind the delivery frontier, per instance.  Agreement
+#: is over for them; the short window only lets the votes still in flight
+#: when a slot delivers (the slowest replica's prepare and commit) land in
+#: their slot.  Everything older is dropped as the frontier advances, block
+#: and all: a replica's memory follows what is in flight, and its history is
+#: the WAL (``ReplicaDurability.wal_blocks_above``), never this table.
+DELIVERED_WINDOW = 8
 
-@dataclass
+
+@dataclass(slots=True)
 class Slot:
     """Agreement state for one (view, sequence number) slot."""
 
@@ -41,14 +49,25 @@ class SlotTable:
         self._slots: dict[int, Slot] = {}
         self._next_to_deliver = 0
 
-    def slot(self, sequence_number: int) -> Slot:
-        """Get or create the slot for ``sequence_number``."""
-        if sequence_number not in self._slots:
-            self._slots[sequence_number] = Slot(sequence_number=sequence_number)
-        return self._slots[sequence_number]
+    def slot(self, sequence_number: int) -> Slot | None:
+        """Get or create the slot for ``sequence_number``.
+
+        ``None`` behind the trailing window: that sequence number was
+        delivered long ago, and a late or replayed message for it must not
+        resurrect an empty slot.
+        """
+        slot = self._slots.get(sequence_number)
+        if slot is None:
+            if sequence_number < self._next_to_deliver - DELIVERED_WINDOW:
+                return None
+            slot = self._slots[sequence_number] = Slot(sequence_number)
+        return slot
 
     def __contains__(self, sequence_number: int) -> bool:
         return sequence_number in self._slots
+
+    def __len__(self) -> int:
+        return len(self._slots)
 
     @property
     def next_to_deliver(self) -> int:
@@ -62,6 +81,7 @@ class SlotTable:
         returns them; the caller emits the delivery events.
         """
         ready: list[Slot] = []
+        frontier = self._next_to_deliver
         while True:
             slot = self._slots.get(self._next_to_deliver)
             if slot is None or not slot.committed or slot.delivered:
@@ -69,6 +89,7 @@ class SlotTable:
             slot.delivered = True
             ready.append(slot)
             self._next_to_deliver += 1
+        self._prune(frontier)
         return ready
 
     def fast_forward(self, sequence_number: int) -> None:
@@ -79,7 +100,9 @@ class SlotTable:
         slots below ``sequence_number`` must never be re-proposed or
         re-delivered by this endpoint.  Only moves forward.
         """
-        self._next_to_deliver = max(self._next_to_deliver, sequence_number)
+        frontier = self._next_to_deliver
+        self._next_to_deliver = max(frontier, sequence_number)
+        self._prune(frontier)
 
     def undelivered_proposals(self) -> list[tuple[int, Block]]:
         """Pre-prepared blocks that were never delivered (for view changes)."""
@@ -94,10 +117,11 @@ class SlotTable:
         """Highest sequence number with any activity, or -1."""
         return max(self._slots, default=-1)
 
-    def prune_below(self, sequence_number: int) -> int:
-        """Garbage-collect delivered slots below ``sequence_number``."""
-        stale = [sn for sn, slot in self._slots.items()
-                 if sn < sequence_number and slot.delivered]
-        for sn in stale:
-            del self._slots[sn]
-        return len(stale)
+    def _prune(self, old_frontier: int) -> None:
+        """Drop what the advance from ``old_frontier`` pushed more than
+        ``DELIVERED_WINDOW`` behind the frontier (delivered, or skipped over
+        by :meth:`fast_forward`)."""
+        for sequence_number in range(
+            old_frontier - DELIVERED_WINDOW, self._next_to_deliver - DELIVERED_WINDOW
+        ):
+            self._slots.pop(sequence_number, None)

@@ -14,7 +14,10 @@ from repro.cluster.messages import ClientReply, ClientRequest
 from repro.cluster.replica import MultiBFTReplica
 from repro.core.config import CoreConfig
 from repro.core.outcomes import TxStatus
+from repro.ledger.blocks import Block
 from repro.ledger.transactions import simple_transfer
+from repro.metrics.latency import StreamingLatencyTracker
+from repro.metrics.summary import MetricsCollector
 from repro.protocols.registry import build_core
 
 
@@ -48,7 +51,7 @@ class RecordingTransport:
         pass
 
 
-def build_replica(reply_cache_limit=10):
+def build_replica(reply_cache_limit=10, metrics=None):
     transport = RecordingTransport()
     replica = MultiBFTReplica(
         replica_id=0,
@@ -56,6 +59,7 @@ def build_replica(reply_cache_limit=10):
         core=build_core("orthrus", CoreConfig(num_instances=1)),
         transport=transport,
         reply_cache_limit=reply_cache_limit,
+        metrics=metrics,
     )
     return replica, transport
 
@@ -141,3 +145,66 @@ class TestEvictedEntryFailSafe:
         replica.receive(99, ClientRequest(tx=tx, client_node=99))
         assert transport.sent == []  # no premature reply
         assert replica.core.submitted_count == 1
+
+
+class TestRetransmissionsLeaveNothingBehind:
+    """A live replica releases its per-transaction state when the
+    transaction executes; a request that arrives after that (a client's
+    retransmission) or that is refused must not re-create any of it."""
+
+    def executed(self):
+        """A replica (with a live server's metrics) that received, delivered
+        and executed one funded transfer requested by client 99."""
+        metrics = MetricsCollector(latency=StreamingLatencyTracker())
+        replica, transport = build_replica(metrics=metrics)
+        replica.core.store.create_account("alice", 10)
+        tx = simple_transfer("alice", "bob", 1, tx_id="paid")
+        tx.submitted_at = -1.0  # the transport's clock reads 0.0
+        replica.receive(99, ClientRequest(tx=tx, client_node=99))
+        assert len(metrics.latency) == 1 and replica._client_of_tx == {"paid": 99}
+        replica._on_deliver(
+            Block.create(
+                instance=0,
+                sequence_number=0,
+                transactions=[tx],
+                state=replica.core.delivered_state(),
+                proposer=0,
+                rank=1,
+            )
+        )
+        assert replica.core.status_of("paid") is TxStatus.COMMITTED
+        return replica, transport, metrics, tx
+
+    def test_execution_releases_the_timeline_and_the_client_entry(self):
+        replica, transport, metrics, _ = self.executed()
+        assert transport.sent[-1][1].committed is True
+        assert len(metrics.latency) == 0
+        assert replica._client_of_tx == {}
+        # ... folded into the stage sums, not lost.
+        assert metrics.latency.stage_breakdown_partial()["send"] == 1.0
+        assert metrics.committed == 1
+
+    def test_retransmission_of_an_executed_tx_opens_no_timeline(self):
+        replica, transport, metrics, tx = self.executed()
+        replies = len(transport.sent)
+        replica.receive(99, ClientRequest(tx=tx, client_node=99))  # cache hit
+        replica._reply_of_tx.clear()
+        replica.receive(99, ClientRequest(tx=tx, client_node=99))  # from status
+        assert len(transport.sent) == replies + 2
+        assert len(metrics.latency) == 0
+        assert replica._client_of_tx == {}
+
+    def test_refused_submission_opens_no_timeline(self):
+        metrics = MetricsCollector(latency=StreamingLatencyTracker())
+        replica, _ = build_replica(metrics=metrics)
+        unbalanced = simple_transfer("alice", "bob", 1, tx_id="bad")
+        unbalanced = type(unbalanced)(
+            tx_id="bad",
+            operations=unbalanced.operations[:1],
+            tx_type=unbalanced.tx_type,
+            submitted_at=0.0,
+        )
+        replica.receive(99, ClientRequest(tx=unbalanced, client_node=99))
+        assert replica.core.rejected_on_submit == 1
+        assert len(metrics.latency) == 0
+        assert replica._client_of_tx == {}

@@ -24,7 +24,7 @@ class TestPartialLog:
         assert plog.add(make_block(0, 0))
         assert plog.add(make_block(0, 1))
         assert plog.peek_next().sequence_number == 0
-        plog.advance()
+        plog.mark_processed(0)
         assert plog.peek_next().sequence_number == 1
 
     def test_duplicate_add_rejected(self):
@@ -45,15 +45,37 @@ class TestPartialLog:
         plog.add(make_block(0, 4))
         assert plog.highest_delivered == 4
 
-    def test_prune_below_keeps_unprocessed(self):
+    def test_processing_releases_the_block_and_keeps_the_unprocessed(self):
         plog = PartialLog(0)
         for sn in range(4):
             plog.add(make_block(0, sn))
-        plog.advance()
-        plog.advance()
-        removed = plog.prune_below(3)
-        assert removed == 2
+        plog.mark_processed(0)
+        plog.mark_processed(1)
+        assert len(plog) == 2
+        assert plog.get(1) is None
         assert plog.get(2) is not None
+        assert plog.next_to_process == 2
+
+    def test_processed_positions_still_reject_duplicates(self):
+        plog = PartialLog(0)
+        plog.add(make_block(0, 0))
+        plog.mark_processed(0)
+        assert not plog.add(make_block(0, 0))
+        assert len(plog) == 0
+
+    def test_out_of_order_processing_holds_only_the_reordering_window(self):
+        # The baselines process a block the moment it arrives, and the
+        # pipeline simulator may deliver an instance's blocks out of order.
+        plog = PartialLog(0)
+        for sn in (2, 1):
+            assert plog.add(make_block(0, sn))
+            plog.mark_processed(sn)
+        assert plog.next_to_process == 0
+        assert not plog.add(make_block(0, 2))
+        assert plog.add(make_block(0, 0))
+        plog.mark_processed(0)
+        assert plog.next_to_process == 3
+        assert len(plog) == 0 and not plog._processed_ahead
 
 
 class TestProcessedFrontier:

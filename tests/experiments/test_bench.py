@@ -59,25 +59,40 @@ class TestRegressionGate:
             [_result(name=name, value=value, higher=higher)], pr=5, suite="quick"
         )
 
+    def _check_on_committing_host(self, results, committed):
+        """The gate as the host that committed the report would run it.
+
+        ``build_report`` and ``check_regressions`` each measure the host's
+        speed unless told it; the host can slow by more than the margin these
+        tests leave between the two measurements, so the tests that are not
+        about normalisation pin the score to the committed one.
+        """
+        return check_regressions(
+            results,
+            committed,
+            tolerance=0.30,
+            current_speed_score=committed["host"]["speed_score"],
+        )
+
     def test_within_tolerance_passes(self):
         committed = self._committed(100.0)
-        assert check_regressions([_result(value=80.0)], committed, tolerance=0.30) == []
+        assert self._check_on_committing_host([_result(value=80.0)], committed) == []
 
     def test_regression_beyond_tolerance_fails(self):
         committed = self._committed(100.0)
-        failures = check_regressions([_result(value=60.0)], committed, tolerance=0.30)
+        failures = self._check_on_committing_host([_result(value=60.0)], committed)
         assert len(failures) == 1 and "digest" in failures[0]
 
     def test_lower_is_better_direction(self):
         committed = self._committed(1.0, higher=False)
         slower = [_result(value=2.0, higher=False)]
         faster = [_result(value=0.5, higher=False)]
-        assert check_regressions(slower, committed, tolerance=0.30)
-        assert check_regressions(faster, committed, tolerance=0.30) == []
+        assert self._check_on_committing_host(slower, committed)
+        assert self._check_on_committing_host(faster, committed) == []
 
     def test_new_benchmarks_are_ignored(self):
         committed = self._committed(100.0, name="other")
-        assert check_regressions([_result()], committed, tolerance=0.30) == []
+        assert self._check_on_committing_host([_result()], committed) == []
 
     def test_host_speed_normalisation(self):
         """A slower checking host is held to a proportionally lower bar."""

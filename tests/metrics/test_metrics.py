@@ -6,6 +6,7 @@ from repro.metrics.latency import (
     STAGE_NAMES,
     LatencySummary,
     LatencyTracker,
+    StreamingLatencyTracker,
     TransactionTimeline,
 )
 from repro.metrics.summary import MetricsCollector
@@ -289,3 +290,37 @@ class TestStageBreakdownPartial:
         assert tracker.stage_breakdown_partial() == pytest.approx(
             tracker.stage_breakdown()
         )
+
+
+class TestStreamingLatencyTracker:
+    """The live replica's tracker: same stage averages, no history."""
+
+    def replica_events(self, tracker, count):
+        for index in range(count):
+            tx, base = f"t{index}", float(index)
+            if index % 2 == 0:  # a replica the client sent the request to
+                tracker.record_submitted(tx, base)
+                tracker.record_received(tx, base + 0.25)
+            if index % 4 == 0:  # ... that also led the instance
+                tracker.record_proposed(tx, base + 0.5)
+            tracker.record_delivered(tx, base + 1.0)
+            if index != count - 1:  # the last one is still in flight
+                tracker.record_confirmed(tx, base + 1.0 + index / 8, committed=True)
+
+    def test_same_breakdown_as_the_retaining_tracker(self):
+        retaining, streaming = LatencyTracker(), StreamingLatencyTracker()
+        self.replica_events(retaining, 41)
+        self.replica_events(streaming, 41)
+        assert streaming.stage_breakdown_partial() == retaining.stage_breakdown_partial()
+
+    def test_holds_only_unconfirmed_timelines(self):
+        streaming = StreamingLatencyTracker()
+        self.replica_events(streaming, 41)
+        assert [t.tx_id for t in streaming.timelines()] == ["t40"]
+        self.replica_events(streaming, 400)
+        assert len(streaming) == 1
+
+    def test_confirmation_without_a_timeline_opens_none(self):
+        streaming = StreamingLatencyTracker()
+        streaming.record_confirmed("never-seen", 1.0, committed=True)
+        assert len(streaming) == 0

@@ -78,17 +78,20 @@ def test_stitched_traces_agree_with_stage_breakdown(tmp_path):
             client_timelines = {
                 t.tx_id: t for t in generator.collector.latency.timelines()
             }
-            replica0_timelines = {
-                t.tx_id: t for t in servers[0].metrics.latency.timelines()
-            }
+            # A replica folds a timeline into its stage sums when the
+            # transaction executes: none is left once the run has drained.
+            replica0_open_timelines = len(servers[0].metrics.latency)
             replica0_breakdown = servers[0].metrics.latency.stage_breakdown_partial()
         finally:
             for server in servers:
                 server.stop()
                 await server._shutdown()
-        return client_timelines, replica0_timelines, replica0_breakdown
+        return client_timelines, replica0_open_timelines, replica0_breakdown
 
-    client_timelines, replica0_timelines, replica0_breakdown = asyncio.run(scenario())
+    client_timelines, replica0_open_timelines, replica0_breakdown = asyncio.run(
+        scenario()
+    )
+    assert replica0_open_timelines == 0
 
     events = load_trace_events(tmp_path)
     assert len(trace_tx_ids(events)) == TRANSACTIONS
@@ -104,35 +107,14 @@ def test_stitched_traces_agree_with_stage_breakdown(tmp_path):
         assert submitted.t == pytest.approx(timeline.submitted_at, abs=1e-9)
         assert replied.t == pytest.approx(timeline.replied_at, abs=1e-9)
 
-    # --- replica-side boundaries: replica 0's tracker and its trace file are
-    # written from the same `now` at each pipeline step, so restricting the
-    # stitch to replica 0 (+ the client) must reproduce its timelines.
-    trace_event_of_stage_end = {
-        "received_at": "received",
-        "proposed_at": "proposed",
-        "delivered_at": "committed",
-        "confirmed_at": "executed",
-    }
+    # --- replica side: replica 0's tracker and its trace file are written
+    # from the same `now` at each pipeline step, so averaging the stage
+    # durations of the stitch restricted to replica 0 (+ the client) the way
+    # stage_breakdown_partial does must reproduce the sums it folded.
     replica0_events = [e for e in events if e.node in (0, 999)]
-    compared = 0
-    for tx_id, timeline in replica0_timelines.items():
-        stitched = stitch(replica0_events, tx_id)
-        if stitched is None:
-            continue
-        for attr, event_name in trace_event_of_stage_end.items():
-            recorded = getattr(timeline, attr)
-            traced = stitched.first(event_name)
-            if recorded is None or traced is None:
-                continue
-            assert traced.t == pytest.approx(recorded, abs=1e-9)
-            compared += 1
-    assert compared > 0
-
-    # --- aggregate: averaging the stitched replica-0 stage durations the
-    # same way stage_breakdown_partial does must reproduce its numbers.
     totals = {name: 0.0 for name in STAGE_NAMES}
     counts = {name: 0 for name in STAGE_NAMES}
-    for tx_id in replica0_timelines:
+    for tx_id in client_timelines:
         stitched = stitch(replica0_events, tx_id)
         if stitched is None:
             continue

@@ -64,6 +64,15 @@ def deliveries_with_permutation(draw):
     return blocks, permutation
 
 
+def global_log(orderer, deliveries):
+    """The global order of ``deliveries``: what ``on_deliver`` released, call
+    after call (an orderer keeps no log of its own)."""
+    ordered = []
+    for block in deliveries:
+        ordered += orderer.on_deliver(block)
+    return ordered
+
+
 def per_instance_in_order(sequence):
     """Deliver blocks to an orderer respecting per-instance sequence order."""
     seen = {i: -1 for i in range(NUM_INSTANCES)}
@@ -91,14 +100,10 @@ class TestLadonProperties:
         # instances the interleaving is arbitrary.
         first_order = per_instance_in_order(blocks)
         second_order = per_instance_in_order(permutation)
-        orderer_a = LadonGlobalOrderer(NUM_INSTANCES)
-        orderer_b = LadonGlobalOrderer(NUM_INSTANCES)
-        for block in first_order:
-            orderer_a.on_deliver(block)
-        for block in second_order:
-            orderer_b.on_deliver(block)
-        ids_a = [b.block_id for b in orderer_a.global_log]
-        ids_b = [b.block_id for b in orderer_b.global_log]
+        log_a = global_log(LadonGlobalOrderer(NUM_INSTANCES), first_order)
+        log_b = global_log(LadonGlobalOrderer(NUM_INSTANCES), second_order)
+        ids_a = [b.block_id for b in log_a]
+        ids_b = [b.block_id for b in log_b]
         # Both replicas ordered the same prefix in the same order (one may
         # have ordered more if its interleaving advanced the bar further, but
         # the common prefix must agree).
@@ -108,12 +113,12 @@ class TestLadonProperties:
     @given(delivered_block_sets())
     @settings(max_examples=120, deadline=None)
     def test_global_log_sorted_by_ordering_index_without_duplicates(self, blocks):
-        orderer = LadonGlobalOrderer(NUM_INSTANCES)
-        for block in per_instance_in_order(blocks):
-            orderer.on_deliver(block)
-        indices = [OrderingIndex.of(b) for b in orderer.global_log]
+        ordered = global_log(
+            LadonGlobalOrderer(NUM_INSTANCES), per_instance_in_order(blocks)
+        )
+        indices = [OrderingIndex.of(b) for b in ordered]
         assert indices == sorted(indices)
-        ids = [b.block_id for b in orderer.global_log]
+        ids = [b.block_id for b in ordered]
         assert len(ids) == len(set(ids))
 
     @given(delivered_block_sets())
@@ -133,14 +138,12 @@ class TestPredeterminedProperties:
         blocks, permutation = data
         orderer_a = PredeterminedGlobalOrderer(NUM_INSTANCES)
         orderer_b = PredeterminedGlobalOrderer(NUM_INSTANCES)
-        for block in per_instance_in_order(blocks):
-            orderer_a.on_deliver(block)
-        for block in per_instance_in_order(permutation):
-            orderer_b.on_deliver(block)
-        positions_a = [orderer_a.global_position(b) for b in orderer_a.global_log]
+        log_a = global_log(orderer_a, per_instance_in_order(blocks))
+        log_b = global_log(orderer_b, per_instance_in_order(permutation))
+        positions_a = [orderer_a.global_position(b) for b in log_a]
         assert positions_a == sorted(positions_a)
-        ids_a = [b.block_id for b in orderer_a.global_log]
-        ids_b = [b.block_id for b in orderer_b.global_log]
+        ids_a = [b.block_id for b in log_a]
+        ids_b = [b.block_id for b in log_b]
         common = min(len(ids_a), len(ids_b))
         assert ids_a[:common] == ids_b[:common]
 
@@ -148,9 +151,8 @@ class TestPredeterminedProperties:
     @settings(max_examples=120, deadline=None)
     def test_log_is_gapless_prefix(self, blocks):
         orderer = PredeterminedGlobalOrderer(NUM_INSTANCES)
-        for block in per_instance_in_order(blocks):
-            orderer.on_deliver(block)
-        positions = [orderer.global_position(b) for b in orderer.global_log]
+        ordered = global_log(orderer, per_instance_in_order(blocks))
+        positions = [orderer.global_position(b) for b in ordered]
         assert positions == list(range(len(positions)))
 
 
@@ -228,14 +230,14 @@ class TestLadonBarBoundary:
     def _check_against_reference(self, delivery_order):
         orderer = LadonGlobalOrderer(NUM_INSTANCES)
         delivered = []
+        got = []
         frontier_ranks = [0] * NUM_INSTANCES
         for block in delivery_order:
-            orderer.on_deliver(block)
+            got += [b.block_id for b in orderer.on_deliver(block)]
             delivered.append(block)
             frontier_ranks[block.instance] = max(
                 frontier_ranks[block.instance], block.rank
             )
-            got = [b.block_id for b in orderer.global_log]
             assert got == reference_released(delivered, frontier_ranks)
         assert orderer.stats.rank_regressions == 0
 
@@ -263,14 +265,15 @@ class TestLadonBarBoundary:
     @given(tied_rank_block_sets(), st.integers(min_value=0, max_value=NUM_INSTANCES - 1))
     @settings(max_examples=100, deadline=None)
     def test_straggler_vs_uniform_interleaving_agree(self, blocks, straggler):
-        orderer_a = LadonGlobalOrderer(NUM_INSTANCES)
-        orderer_b = LadonGlobalOrderer(NUM_INSTANCES)
-        for block in per_instance_in_order(blocks):
-            orderer_a.on_deliver(block)
-        for block in straggler_interleaving(blocks, straggler):
-            orderer_b.on_deliver(block)
-        ids_a = [b.block_id for b in orderer_a.global_log]
-        ids_b = [b.block_id for b in orderer_b.global_log]
+        log_a = global_log(
+            LadonGlobalOrderer(NUM_INSTANCES), per_instance_in_order(blocks)
+        )
+        log_b = global_log(
+            LadonGlobalOrderer(NUM_INSTANCES),
+            straggler_interleaving(blocks, straggler),
+        )
+        ids_a = [b.block_id for b in log_a]
+        ids_b = [b.block_id for b in log_b]
         common = min(len(ids_a), len(ids_b))
         assert ids_a[:common] == ids_b[:common]
 
@@ -334,10 +337,12 @@ def random_interleaving(blocks, rng):
 
 
 def run_dependency(delivery_order, conflicts):
+    """The orderer after ``delivery_order``, and the global log it released."""
     orderer = DependencyGlobalOrderer(NUM_INSTANCES)
+    ordered = []
     for block in delivery_order:
-        orderer.on_deliver(block, conflicts[block.block_id])
-    return orderer
+        ordered += orderer.on_deliver(block, conflicts[block.block_id])
+    return orderer, ordered
 
 
 class TestDependencyEquivalence:
@@ -391,10 +396,8 @@ class TestDependencyConsistency:
     @settings(max_examples=120, deadline=None)
     def test_conflicting_pairs_agree_across_interleavings(self, data, rng, straggler):
         blocks, conflicts = data
-        log_a = run_dependency(random_interleaving(blocks, rng), conflicts).global_log
-        log_b = run_dependency(
-            straggler_interleaving(blocks, straggler), conflicts
-        ).global_log
+        _, log_a = run_dependency(random_interleaving(blocks, rng), conflicts)
+        _, log_b = run_dependency(straggler_interleaving(blocks, straggler), conflicts)
         pos_a = {b.block_id: i for i, b in enumerate(log_a)}
         pos_b = {b.block_id: i for i, b in enumerate(log_b)}
         for i, first in enumerate(blocks):
@@ -409,9 +412,9 @@ class TestDependencyConsistency:
     @settings(max_examples=120, deadline=None)
     def test_per_key_release_order_follows_ordering_index(self, data, rng):
         blocks, conflicts = data
-        orderer = run_dependency(random_interleaving(blocks, rng), conflicts)
+        _, ordered = run_dependency(random_interleaving(blocks, rng), conflicts)
         per_key = {}
-        for block in orderer.global_log:
+        for block in ordered:
             for key in conflicts[block.block_id].keys:
                 per_key.setdefault(key, []).append(OrderingIndex.of(block))
         for indices in per_key.values():
@@ -421,7 +424,7 @@ class TestDependencyConsistency:
     @settings(max_examples=120, deadline=None)
     def test_integrity_and_flush_when_every_instance_advances(self, data, rng):
         blocks, conflicts = data
-        orderer = run_dependency(random_interleaving(blocks, rng), conflicts)
+        orderer, ordered = run_dependency(random_interleaving(blocks, rng), conflicts)
         assert orderer.ordered_count + orderer.pending_count() == len(blocks)
         # Every instance advances past the highest rank with an independent
         # block: the bar passes everything pending and the backlog drains.
@@ -430,10 +433,10 @@ class TestDependencyConsistency:
             i: sum(1 for b in blocks if b.instance == i) for i in range(NUM_INSTANCES)
         }
         for instance in range(NUM_INSTANCES):
-            orderer.on_deliver(
+            ordered += orderer.on_deliver(
                 make_block(instance, next_sn[instance], rank=top + 1 + instance),
                 NO_CONFLICTS,
             )
         assert orderer.pending_count() == 0
-        ordered_ids = [b.block_id for b in orderer.global_log]
+        ordered_ids = [b.block_id for b in ordered]
         assert len(ordered_ids) == len(set(ordered_ids)) == len(blocks) + NUM_INSTANCES

@@ -266,6 +266,50 @@ def test_binary_decodes_identically_to_json(sender, message):
     assert encode_payload(from_binary) == encode_payload(from_json)
 
 
+def transactions_in(message) -> list[Transaction]:
+    """Every transaction a message carries, however deeply."""
+    if isinstance(message, ClientRequest):
+        return [message.tx]
+    if isinstance(message, PrePrepare):
+        carried = [message.block] if message.block is not None else []
+    elif isinstance(message, ViewChange):
+        carried = [block for _, block in message.pending]
+    elif isinstance(message, NewView):
+        carried = [block for _, block in message.reproposals]
+    else:
+        carried = []
+    return [tx for block in carried for tx in block.transactions]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    message=messages,
+    version=st.sampled_from([WIRE_VERSION, WIRE_VERSION_BINARY]),
+)
+def test_decoded_transactions_are_dict_free_and_memoise(message, version):
+    """A replica holds every decoded transaction until its block executes:
+    the decoders must build the slotted objects the constructors build (no
+    instance ``__dict__`` for the collector to track), with the digest and
+    owned-decrement memos working on them."""
+    _, decoded = decode_envelope(encode_envelope(7, message, version=version))
+    for tx, original in zip(transactions_in(decoded), transactions_in(message)):
+        assert not hasattr(tx, "__dict__")
+        assert tx.signatures or tx.signatures is None  # no empty container
+        assert tx.metadata or tx.metadata is None
+        for operation in tx.operations:
+            assert type(operation) is ObjectOperation
+            assert not hasattr(operation, "__dict__")
+        assert tx.operations == original.operations
+        # Memos start empty, fill on first use, and hold what a fresh
+        # computation gives.
+        assert tx._digest_memo is None and tx._decrements_memo is None
+        assert tx.digest == original.digest
+        assert tx.digest is tx._digest_memo
+        decrements = tx.decrement_operations()
+        assert decrements is tx.decrement_operations()
+        assert decrements == [op for op in tx.operations if op.is_owned_decrement]
+
+
 @settings(max_examples=50, deadline=None)
 @given(message=all_messages)
 def test_binary_encoding_is_canonical(message):

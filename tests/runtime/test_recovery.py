@@ -32,8 +32,10 @@ from repro.ledger.transactions import reset_transaction_counter
 from repro.runtime.client import ClientConfig, ClientError, OrthrusClient
 from repro.runtime.cluster import ClusterSpec, LocalCluster, free_port
 from repro.runtime.config import ReplicaRuntimeConfig
+from repro.runtime.durability import ReplicaDurability
 from repro.runtime.server import ReplicaServer
 from repro.runtime.wal import WAL_FILE_NAME
+from repro.sb.pbft.slots import DELIVERED_WINDOW
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import EthereumStyleWorkload
 
@@ -336,6 +338,71 @@ def test_genesis_recovery_wipes_durable_state_and_rejoins_via_peers(tmp_path):
             await stop_servers(servers)
 
     asyncio.run(asyncio.wait_for(scenario(), timeout=120))
+
+
+def test_history_is_served_from_the_wal_once_memory_has_let_go_of_it(tmp_path):
+    """A replica keeps a delivered block in memory until it has executed it
+    (partial log) and for a short window past delivery (PBFT slots), never
+    as history.  A wiped replica must still be rebuilt by its peers, and a
+    WAL replay must still land on the live digest: both read the WAL.
+
+    No epoch ever completes here (the live default), so there is no snapshot
+    to lean on: every block comes back as a block.
+    """
+
+    async def scenario():
+        configs = cluster_configs(tmp_path, epoch_length=1_000_000)
+        servers = [await start_server(config) for config in configs]
+        workload = EthereumStyleWorkload(WORKLOAD)
+        try:
+            async with OrthrusClient(
+                list(configs[0].peers), ClientConfig(timeout=3.0, retries=5)
+            ) as client:
+                # Small waves, one after the other: many blocks per instance.
+                committed = 0
+                while min(servers[1].status().delivered_frontier) < 3 * DELIVERED_WINDOW:
+                    assert_no_failures(await submit_all(client, workload, 6))
+                    committed += 6
+                await settled_statuses(client, minimum_committed=committed)
+
+                survivor = servers[1]
+                frontier = survivor.status().delivered_frontier
+                for endpoint in survivor.replica.endpoints.values():
+                    assert 0 not in endpoint.slots
+                    assert len(endpoint.slots) <= 2 * DELIVERED_WINDOW
+                assert all(len(plog) == 0 for plog in survivor.replica.core.plogs)
+                # ... and yet the whole history is there to hand over.
+                history = survivor.durability.wal_blocks_above([-1] * len(frontier))
+                assert len(history) == sum(sequence + 1 for sequence in frontier)
+                assert {block.sequence_number for block in history[:2]} == {0}
+
+                await crash_server(servers[3])
+                servers[3] = None
+                restarted = await start_server(
+                    replace(configs[3], recovery="genesis")
+                )
+                servers[3] = restarted
+
+            async with OrthrusClient(
+                list(configs[0].peers), ClientConfig(client_id=2000, timeout=3.0)
+            ) as probe:
+                statuses = await settled_statuses(probe, minimum_committed=committed)
+                assert {s.replica for s in statuses} == {0, 1, 2, 3}
+                assert len({s.state_digest for s in statuses}) == 1
+                assert restarted.status().delivered_frontier == frontier
+                live_digest = statuses[0].state_digest
+        finally:
+            await stop_servers(servers)
+        return configs[1], live_digest
+
+    config, live_digest = asyncio.run(asyncio.wait_for(scenario(), timeout=120))
+    durability = ReplicaDurability(config.run_dir)
+    try:
+        core, _ = durability.recover(config.build_core(), config.build_core)
+    finally:
+        durability.close()
+    assert core.store.state_digest() == live_digest
+    assert all(len(plog) == 0 for plog in core.plogs)
 
 
 def test_churn_cycles_return_full_strength_after_each(tmp_path):

@@ -11,7 +11,8 @@ from repro.errors import NotLeaderError
 from repro.ledger.blocks import Block, SystemState
 from repro.ledger.transactions import simple_transfer
 from repro.sb.pbft.endpoint import PBFTConfig, PBFTEndpoint
-from repro.sb.pbft.messages import PrePrepare
+from repro.sb.pbft.messages import Commit, PrePrepare, Prepare
+from repro.sb.pbft.slots import DELIVERED_WINDOW
 
 
 class FakeTimer:
@@ -344,3 +345,69 @@ class TestViewChangeHardening:
         backup.notify_pending_work()
         fabric.fire_timers()
         assert backup._voted_view == 1
+
+
+class TestPrunedSlots:
+    """Delivered slots are dropped behind a trailing window; nothing that
+    arrives for them afterwards brings them back."""
+
+    DELIVERED = DELIVERED_WINDOW + 4
+
+    def group_with_history(self):
+        fabric, delivered = build_group(instance=0)
+        blocks = [make_block(sn) for sn in range(self.DELIVERED)]
+        for block in blocks:
+            fabric.endpoints[0].broadcast_block(block)
+        assert all(len(seen) == self.DELIVERED for seen in delivered.values())
+        return fabric, delivered, blocks
+
+    def test_late_votes_for_a_pruned_slot_neither_recreate_nor_redeliver(self):
+        fabric, delivered, blocks = self.group_with_history()
+        backup = fabric.endpoints[2]
+        assert len(backup.slots) == DELIVERED_WINDOW and 0 not in backup.slots
+        stale = dict(
+            instance=0, view=0, sequence_number=0, digest=blocks[0].digest
+        )
+        for sender in (0, 1, 3):
+            backup.handle_message(sender, Prepare(sender=sender, **stale))
+            backup.handle_message(sender, Commit(sender=sender, **stale))
+        # A replayed proposal for it is as dead as the votes.
+        backup.handle_message(
+            0, PrePrepare(sender=0, block=blocks[0], **stale)
+        )
+        assert 0 not in backup.slots and len(backup.slots) == DELIVERED_WINDOW
+        assert len(delivered[2]) == self.DELIVERED
+        assert backup.blocks_delivered == self.DELIVERED
+
+    def test_view_change_after_pruning_reproposes_every_undelivered_block(self):
+        fabric, delivered, _ = self.group_with_history()
+        # Two more proposals reach two of the backups before the leader
+        # falls silent: pre-prepared there, one prepare short of a quorum.
+        fabric.drop_from.add(0)
+        stuck = [make_block(self.DELIVERED + offset) for offset in range(2)]
+        for block in stuck:
+            pre_prepare = PrePrepare(
+                instance=0,
+                view=0,
+                sender=0,
+                sequence_number=block.sequence_number,
+                block=block,
+                digest=block.digest,
+            )
+            for replica in (2, 3):
+                fabric.endpoints[replica].handle_message(0, pre_prepare)
+        backup = fabric.endpoints[2]
+        assert [sn for sn, _ in backup.slots.undelivered_proposals()] == [
+            block.sequence_number for block in stuck
+        ]
+        for replica in (1, 2, 3):
+            fabric.endpoints[replica].notify_pending_work()
+        fabric.fire_timers()
+        for replica in (1, 2, 3):
+            assert fabric.endpoints[replica].view == 1
+            # Exactly the stuck blocks, in order, on top of the old history:
+            # nothing pruned was re-proposed, nothing pending was lost.
+            assert [b.digest for b in delivered[replica][self.DELIVERED :]] == [
+                block.digest for block in stuck
+            ]
+            assert len(fabric.endpoints[replica].slots) == DELIVERED_WINDOW

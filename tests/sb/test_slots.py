@@ -2,7 +2,7 @@
 
 from repro.ledger.blocks import Block, SystemState
 from repro.ledger.transactions import simple_transfer
-from repro.sb.pbft.slots import SlotTable
+from repro.sb.pbft.slots import DELIVERED_WINDOW, SlotTable
 
 
 def make_block(sn, instance=0):
@@ -68,14 +68,34 @@ class TestSlotTable:
         table.slot(5)
         assert table.highest_started() == 5
 
-    def test_prune_below_removes_only_delivered(self):
-        table = SlotTable()
-        for sn in (0, 1):
+    def deliver_up_to(self, table, count):
+        for sn in range(table.next_to_deliver, count):
             slot = table.slot(sn)
             slot.block = make_block(sn)
             slot.committed = True
-        table.deliverable()
-        table.slot(2).pre_prepared = True
-        removed = table.prune_below(2)
-        assert removed == 2
-        assert 2 in table
+        return table.deliverable()
+
+    def test_delivered_slots_are_kept_only_inside_the_trailing_window(self):
+        table = SlotTable()
+        self.deliver_up_to(table, 3 * DELIVERED_WINDOW)
+        table.slot(3 * DELIVERED_WINDOW).pre_prepared = True  # in flight
+        assert len(table) == DELIVERED_WINDOW + 1
+        assert 2 * DELIVERED_WINDOW - 1 not in table
+        assert 2 * DELIVERED_WINDOW in table
+        # Three times the traffic, the same table.
+        self.deliver_up_to(table, 9 * DELIVERED_WINDOW)
+        assert len(table) == DELIVERED_WINDOW
+
+    def test_pruned_sequence_numbers_are_not_resurrected(self):
+        table = SlotTable()
+        self.deliver_up_to(table, DELIVERED_WINDOW + 5)
+        assert table.slot(4) is None
+        assert 4 not in table
+        assert table.slot(5).delivered  # still inside the window
+
+    def test_fast_forward_prunes_what_it_skips(self):
+        table = SlotTable()
+        table.slot(0).pre_prepared = True
+        table.fast_forward(DELIVERED_WINDOW + 10)
+        assert 0 not in table and table.slot(9) is None
+        assert table.undelivered_proposals() == []
