@@ -1,10 +1,10 @@
 """Ablation variant: Orthrus without the non-blocking escrow interaction.
 
-DESIGN.md calls out the escrow mechanism as one of the load-bearing design
-choices.  This variant answers "what if we had not built Solution-II?": a
-pending contract transaction *locks* its payers until it is globally ordered,
-so payment transactions behind it in the same partial log must wait instead
-of being evaluated against the escrowed balance.
+The escrow mechanism is one of the load-bearing design choices.  This
+variant answers "what if we had not built Solution-II?": a pending contract
+transaction *locks* its payers until it is globally ordered, so payment
+transactions behind it in the same partial log must wait instead of being
+evaluated against the escrowed balance.
 
 Everything else — partitioning, partial logs, dynamic global ordering,
 multi-payer atomicity — is inherited unchanged from :class:`OrthrusCore`, so

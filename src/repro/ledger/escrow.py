@@ -48,7 +48,9 @@ class EscrowLog:
 
     def __init__(self, store: StateStore) -> None:
         self._store = store
-        self._entries: dict[tuple[str, str], EscrowEntry] = {}
+        #: ``tx_id -> {key: amount}``, both levels in escrow-insertion order,
+        #: so settling a transaction touches only its own reservations.
+        self._held: dict[str, dict[str, int]] = {}
         #: Counters used by metrics/ablation benches.
         self.escrows_attempted = 0
         self.escrows_failed = 0
@@ -66,9 +68,10 @@ class EscrowLog:
         success, which keeps redelivery idempotent.
         """
         self.escrows_attempted += 1
-        entry_key = (operation.key, tx.tx_id)
-        if entry_key in self._entries:
-            return EscrowResult(True, self._entries[entry_key], "already escrowed")
+        held = self._held.get(tx.tx_id)
+        if held is not None and operation.key in held:
+            entry = EscrowEntry(operation.key, tx.tx_id, held[operation.key])
+            return EscrowResult(True, entry, "already escrowed")
         if not operation.is_owned_decrement:
             raise EscrowError(
                 "escrow only applies to owned decremental operations, got "
@@ -85,13 +88,16 @@ class EscrowLog:
                 f"requested {operation.amount}",
             )
         self._store.debit(operation.key, operation.amount)
+        if held is None:
+            held = self._held[tx.tx_id] = {}
+        held[operation.key] = operation.amount
         entry = EscrowEntry(key=operation.key, tx_id=tx.tx_id, amount=operation.amount)
-        self._entries[entry_key] = entry
         return EscrowResult(True, entry)
 
     def is_escrowed(self, key: str, tx: Transaction) -> bool:
         """Whether ``(key, tx)`` currently holds a reservation."""
-        return (key, tx.tx_id) in self._entries
+        held = self._held.get(tx.tx_id)
+        return held is not None and key in held
 
     def all_escrowed(self, tx: Transaction) -> bool:
         """Function ``allEscrowed``: every owned decrement of ``tx`` reserved."""
@@ -107,34 +113,36 @@ class EscrowLog:
 
         Returns the number of entries removed from the log.
         """
-        removed = self._remove_entries(tx)
-        if removed:
-            self.commits += 1
-        return removed
+        held = self._held.pop(tx.tx_id, None)
+        if not held:
+            return 0
+        self.commits += 1
+        return len(held)
 
     def abort_escrow(self, tx: Transaction) -> int:
         """Function ``abortEscrow``: undo and drop ``tx``'s reservations.
 
-        Returns the number of entries refunded.
+        Refunds in the order the reservations were made.  Returns the number
+        of entries refunded.
         """
-        refunded = 0
-        for entry_key in self._entry_keys_of(tx):
-            entry = self._entries.pop(entry_key)
-            self._store.credit(entry.key, entry.amount)
-            refunded += 1
-        if refunded:
-            self.aborts += 1
-        return refunded
+        held = self._held.pop(tx.tx_id, None)
+        if not held:
+            return 0
+        for key, amount in held.items():
+            self._store.credit(key, amount)
+        self.aborts += 1
+        return len(held)
 
     # -- inspection ----------------------------------------------------------
 
     def entries_for_transaction(self, tx: Transaction) -> list[EscrowEntry]:
-        """All reservations currently held for ``tx``."""
-        return [self._entries[k] for k in self._entry_keys_of(tx)]
+        """All reservations currently held for ``tx``, in escrow order."""
+        held = self._held.get(tx.tx_id, {})
+        return [EscrowEntry(key, tx.tx_id, amount) for key, amount in held.items()]
 
     def entries_for_key(self, key: str) -> list[EscrowEntry]:
         """All reservations currently held against object ``key``."""
-        return [entry for entry in self._entries.values() if entry.key == key]
+        return [entry for entry in self if entry.key == key]
 
     def pending_amount(self, key: str) -> int:
         """Total amount currently reserved against object ``key``."""
@@ -142,15 +150,12 @@ class EscrowLog:
 
     def total_reserved(self) -> int:
         """Total amount reserved across all objects (for conservation checks)."""
-        return sum(entry.amount for entry in self._entries.values())
+        return sum(sum(held.values()) for held in self._held.values())
 
     def dump_entries(self) -> list[list]:
         """Serialise live reservations as ``[key, tx_id, amount]`` rows
         (sorted, for the durable snapshot format)."""
-        return [
-            [entry.key, entry.tx_id, entry.amount]
-            for _, entry in sorted(self._entries.items())
-        ]
+        return sorted([entry.key, entry.tx_id, entry.amount] for entry in self)
 
     def load_entries(self, rows: Iterable[list]) -> None:
         """Replace the log's reservations with rows from :meth:`dump_entries`.
@@ -158,24 +163,15 @@ class EscrowLog:
         The store balances are *not* touched: a snapshot's object values
         already reflect the debits these reservations applied.
         """
-        self._entries = {
-            (key, tx_id): EscrowEntry(key=key, tx_id=tx_id, amount=int(amount))
-            for key, tx_id, amount in rows
-        }
+        self._held = {}
+        for key, tx_id, amount in rows:
+            self._held.setdefault(tx_id, {})[key] = int(amount)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(held) for held in self._held.values())
 
     def __iter__(self) -> Iterator[EscrowEntry]:
-        return iter(self._entries.values())
-
-    # -- internals -----------------------------------------------------------
-
-    def _entry_keys_of(self, tx: Transaction) -> list[tuple[str, str]]:
-        return [key for key in self._entries if key[1] == tx.tx_id]
-
-    def _remove_entries(self, tx: Transaction) -> int:
-        keys = self._entry_keys_of(tx)
-        for key in keys:
-            del self._entries[key]
-        return len(keys)
+        """Every reservation, grouped by transaction."""
+        for tx_id, held in self._held.items():
+            for key, amount in held.items():
+                yield EscrowEntry(key, tx_id, amount)

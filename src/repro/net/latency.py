@@ -14,7 +14,7 @@ four data centres.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.sim.rng import DeterministicRNG
@@ -41,6 +41,21 @@ class LatencyModel:
         """Return the propagation delay in seconds for one message."""
         raise NotImplementedError
 
+    def delays_from(
+        self, source: int, count: int, rng: DeterministicRNG
+    ) -> list[float]:
+        """One-way delays from ``source`` to nodes ``0 .. count-1``.
+
+        The entry for ``source`` itself is 0.0 and draws nothing; every other
+        entry is exactly what :meth:`delay` returns for that peer, drawn in
+        peer order.  Models with a jitter-free base override this to sample
+        a whole row in one pass with the same draws.
+        """
+        return [
+            0.0 if peer == source else self.delay(source, peer, rng)
+            for peer in range(count)
+        ]
+
     def region_of(self, node_id: int) -> str:
         """Name of the region a node lives in (single region by default)."""
         return "local"
@@ -58,6 +73,14 @@ class LANLatencyModel(LatencyModel):
             return 0.0
         return rng.lognormal_jitter(self.base_delay, self.jitter_sigma)
 
+    def delays_from(
+        self, source: int, count: int, rng: DeterministicRNG
+    ) -> list[float]:
+        row = [self.base_delay] * count
+        if 0 <= source < count:
+            row[source] = 0.0
+        return rng.lognormal_jitters(row, self.jitter_sigma)
+
 
 @dataclass
 class WANLatencyModel(LatencyModel):
@@ -66,6 +89,10 @@ class WANLatencyModel(LatencyModel):
     regions: Sequence[str] = WAN_REGIONS
     matrix: Sequence[Sequence[float]] = DEFAULT_WAN_MATRIX
     jitter_sigma: float = 0.15
+    #: Jitter-free rows for :meth:`delays_from`, by ``(source, count)``.
+    _base_rows: dict[tuple[int, int], list[float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def region_index(self, node_id: int) -> int:
         """Region index a node is assigned to (round-robin)."""
@@ -87,6 +114,15 @@ class WANLatencyModel(LatencyModel):
         if base == 0.0:
             return 0.0
         return rng.lognormal_jitter(base, self.jitter_sigma)
+
+    def delays_from(
+        self, source: int, count: int, rng: DeterministicRNG
+    ) -> list[float]:
+        row = self._base_rows.get((source, count))
+        if row is None:
+            row = [self.base_delay(source, peer) for peer in range(count)]
+            self._base_rows[(source, count)] = row
+        return rng.lognormal_jitters(row, self.jitter_sigma)
 
 
 @dataclass

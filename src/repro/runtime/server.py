@@ -539,20 +539,26 @@ class ReplicaServer:
         self, endpoint: tuple[str, int]
     ) -> tuple[int, tuple[int, ...]]:
         """Request snapshot + block batches from one peer until caught up."""
-        assert self.replica is not None
+        assert self.replica is not None and self.transport is not None
         reader, writer = await connect_endpoint(endpoint)
         fetched = 0
         views: tuple[int, ...] = ()
         try:
             frames = FrameReader(reader)
-            # Recovery is a one-shot control exchange, not the hot path: pin
-            # the connection to canonical JSON (v1) so it works against any
-            # peer without waiting for version negotiation.
+            # Recovery is a one-shot control exchange, not the hot path: our
+            # frames on it are canonical JSON (v1), which every peer decodes
+            # without waiting for negotiation.  The hello still advertises
+            # the transport's real version: the peer records it per node, so
+            # advertising v1 here would downgrade its consensus link to us.
             await write_frame(
                 writer,
                 encode_envelope(
                     self.config.replica_id,
-                    Hello(self.config.replica_id, role="replica", wire_version=1),
+                    Hello(
+                        self.config.replica_id,
+                        role="replica",
+                        wire_version=self.transport.wire_version,
+                    ),
                     version=1,
                 ),
             )

@@ -10,7 +10,7 @@ and undetectable Byzantine abstention shrinks the pool of voters, pushing the
 quorum out to slower honest replicas (Sec. VII-E).
 
 The model is deliberately simple and fully documented so its assumptions can
-be audited; DESIGN.md records it as a substitution for the AWS testbed.
+be audited: it stands in for the paper's AWS testbed.
 """
 
 from __future__ import annotations
@@ -83,19 +83,15 @@ class QuorumLatencyModel:
         Byzantine replicas refuse to vote in instances they do not lead), and
         takes the ``2f+1``-th smallest of the rest.
         """
-        round_trips = []
-        for peer in range(self.num_replicas):
-            if peer == leader:
-                round_trips.append(0.0)
-                continue
-            one_way = self.latency_model.delay(leader, peer, self.rng)
-            round_trips.append(2.0 * one_way)
-        round_trips.sort()
-        usable = round_trips[abstaining:] if abstaining else round_trips
+        one_ways = self.latency_model.delays_from(leader, self.num_replicas, self.rng)
+        one_ways.sort()
+        usable = one_ways[abstaining:] if abstaining else one_ways
         if not usable:
-            usable = round_trips
+            usable = one_ways
         index = min(self.quorum - 1, len(usable) - 1)
-        return usable[index] * max(1.0, slowdown)
+        # Doubling is exact and order-preserving, so doubling the chosen
+        # one-way delay is the same float as choosing among round trips.
+        return 2.0 * usable[index] * max(1.0, slowdown)
 
     def processing_delay(self, transaction_count: int) -> float:
         """CPU time for validating and ordering the batch."""

@@ -75,6 +75,17 @@ class DeterministicRNG:
             return 0.0
         return scale * math.exp(self._random.gauss(0.0, sigma))
 
+    def lognormal_jitters(self, scales: Iterable[float], sigma: float) -> list[float]:
+        """:meth:`lognormal_jitter` of each scale in turn, in one pass.
+
+        Same draws, same order and same float operations as calling
+        :meth:`lognormal_jitter` per scale: no draw where a scale is <= 0.
+        """
+        gauss, exp = self._random.gauss, math.exp
+        return [
+            scale * exp(gauss(0.0, sigma)) if scale > 0 else 0.0 for scale in scales
+        ]
+
     def choice(self, items: Sequence[T]) -> T:
         """Uniform choice from a non-empty sequence."""
         return self._random.choice(items)

@@ -4,8 +4,7 @@ The evaluation replays ~200,000 transactions drawn from 18,000 active
 Ethereum accounts (blocks 17,198,000-17,202,000), of which 46 % are payment
 transactions and the rest are contract transactions.  We cannot redistribute
 that trace, so :class:`WorkloadConfig` captures its relevant statistical
-properties and the generator synthesises an equivalent trace (see DESIGN.md,
-"Substitutions").
+properties and the generator synthesises an equivalent trace.
 """
 
 from __future__ import annotations

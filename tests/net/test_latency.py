@@ -68,6 +68,51 @@ class TestFixedModel:
         assert model.delay(1, 1, rng) == 0.0
 
 
+#: A custom WAN matrix with a zero off-diagonal entry: that peer draws nothing.
+ZERO_ENTRY_MATRIX = (
+    (0.0005, 0.0, 0.1400),
+    (0.0, 0.0005, 0.1000),
+    (0.1400, 0.1000, 0.0),
+)
+
+
+class TestDelaysFrom:
+    """``delays_from`` is one row of ``delay`` calls, bit for bit, draw for draw."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            WANLatencyModel(),
+            WANLatencyModel(regions=("a", "b", "c"), matrix=ZERO_ENTRY_MATRIX),
+            LANLatencyModel(),
+            FixedLatencyModel(0.02),
+        ],
+        ids=["wan", "wan-zero-entry", "lan", "fixed"],
+    )
+    @pytest.mark.parametrize("count", [4, 32, 128])
+    @pytest.mark.parametrize("seed", [0, 11, 2024])
+    def test_matches_the_per_peer_loop(self, model, count, seed):
+        rng, reference_rng = DeterministicRNG(seed), DeterministicRNG(seed)
+        # Repeat sources so cached base rows are exercised, and include one
+        # source outside the row.
+        for source in [0, 1, count - 1, 1, 0, count]:
+            row = model.delays_from(source, count, rng)
+            expected = [
+                0.0 if peer == source else model.delay(source, peer, reference_rng)
+                for peer in range(count)
+            ]
+            assert [value.hex() for value in row] == [
+                value.hex() for value in expected
+            ]
+        assert rng._random.getstate() == reference_rng._random.getstate()
+
+    def test_rows_are_fresh_lists(self):
+        model, rng = WANLatencyModel(), DeterministicRNG(0)
+        first = model.delays_from(0, 8, rng)
+        first.sort(reverse=True)
+        assert model.delays_from(0, 8, rng)[0] == 0.0
+
+
 class TestBandwidthModel:
     def test_serialization_delay_proportional_to_size(self):
         model = BandwidthModel(bandwidth_bps=1_000_000_000)
