@@ -8,11 +8,6 @@ checks the deployment-level acceptance properties:
 * at least :data:`SMOKE_TRANSACTIONS` payment transactions commit,
 * every replica reports the identical ``StateStore`` digest at shutdown.
 
-The whole suite runs twice: once under the default struct-packed binary
-wire codec (v2) and once with the cluster and client pinned to the
-canonical-JSON fallback (v1), so both codec paths carry the same
-deployment-level guarantees.
-
 Scale via ``REPRO_LIVE_SMOKE_TXS`` (the CI live-smoke job and the acceptance
 run use 1000; the default keeps local ``pytest`` runs quick).
 """
@@ -34,19 +29,14 @@ SMOKE_TRANSACTIONS = int(os.environ.get("REPRO_LIVE_SMOKE_TXS", "300"))
 WORKLOAD = WorkloadConfig(num_accounts=512, seed=42, payment_fraction=1.0)
 
 
-@pytest.fixture(
-    scope="module",
-    params=[None, 1],
-    ids=["wire-binary", "wire-json-fallback"],
-)
-def live_cluster(request):
+@pytest.fixture(scope="module")
+def live_cluster():
     spec = ClusterSpec(
         num_replicas=4,
         num_instances=2,
         batch_size=64,
         batch_interval=0.02,
         workload=WorkloadConfig(num_accounts=512, seed=42),
-        wire_version=request.param,
     )
     cluster = LocalCluster(spec)
     cluster.start()
@@ -64,12 +54,7 @@ def test_live_cluster_commits_payments_with_matching_digests(live_cluster):
             mode="closed",
             concurrency=32,
             workload=WORKLOAD,
-            client=ClientConfig(
-                client_id=1000,
-                timeout=5.0,
-                retries=2,
-                wire_version=live_cluster.spec.wire_version,
-            ),
+            client=ClientConfig(client_id=1000, timeout=5.0, retries=2),
         ),
     )
     report = asyncio.run(generator.run())
@@ -91,7 +76,7 @@ def test_live_cluster_serves_status_probes(live_cluster):
     async def probe():
         async with OrthrusClient(
             list(live_cluster.endpoints),
-            ClientConfig(client_id=1001, wire_version=live_cluster.spec.wire_version),
+            ClientConfig(client_id=1001),
         ) as client:
             return await client.cluster_status()
 
@@ -108,7 +93,7 @@ def test_live_cluster_serves_metrics_probes(live_cluster):
     async def probe():
         async with OrthrusClient(
             list(live_cluster.endpoints),
-            ClientConfig(client_id=1002, wire_version=live_cluster.spec.wire_version),
+            ClientConfig(client_id=1002),
         ) as client:
             return await client.cluster_metrics(require_all=True)
 

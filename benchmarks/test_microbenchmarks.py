@@ -15,12 +15,7 @@ from repro.ledger.state import StateStore
 from repro.ledger.transactions import simple_transfer
 from repro.ordering.ladon import LadonGlobalOrderer
 from repro.ordering.predetermined import PredeterminedGlobalOrderer
-from repro.runtime.codec import (
-    WIRE_VERSION,
-    WIRE_VERSION_BINARY,
-    decode_envelope,
-    encode_envelope,
-)
+from repro.runtime.codec import decode_envelope, encode_envelope, encode_payload
 from repro.sim.simulator import Simulator
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import EthereumStyleWorkload
@@ -151,12 +146,12 @@ def test_digest_fresh_block_rate(benchmark):
     assert benchmark(run) == 64
 
 
-def test_codec_binary_vs_json_round_trip(benchmark):
-    """Binary envelope round trip of a 64-tx pre-prepare (the hot frame).
+def test_codec_pre_prepare_round_trip(benchmark):
+    """Envelope round trip of a 64-tx pre-prepare (the hot frame).
 
-    Asserts the structural contract inline — the binary frame decodes to the
-    same message the JSON codec produces and is smaller — while the timing
-    tracks the v2 path that live clusters actually run.
+    Asserts the structural contract inline — the frame decodes to the
+    message that was encoded, field for field — while the timing tracks the
+    path live clusters run.
     """
     from repro.sb.pbft.messages import PrePrepare
 
@@ -169,19 +164,11 @@ def test_codec_binary_vs_json_round_trip(benchmark):
         block=block,
         digest=block.digest,
     )
-    json_frame = encode_envelope(1, message, version=WIRE_VERSION)
-    binary_frame = encode_envelope(1, message, version=WIRE_VERSION_BINARY)
-    assert len(binary_frame) < len(json_frame)
-    from repro.runtime.codec import encode_payload
-
-    assert encode_payload(decode_envelope(binary_frame)[1]) == encode_payload(
-        decode_envelope(json_frame)[1]
-    )
+    decoded = decode_envelope(encode_envelope(1, message))[1]
+    assert encode_payload(decoded) == encode_payload(message)
 
     def run():
-        sender, decoded = decode_envelope(
-            encode_envelope(1, message, version=WIRE_VERSION_BINARY)
-        )
+        sender, decoded = decode_envelope(encode_envelope(1, message))
         return sender
 
     assert benchmark(run) == 1

@@ -175,27 +175,17 @@ def bench_codec_roundtrip() -> BenchResult:
     """Wire-codec round trip of a representative consensus message mix.
 
     The mix is one of each hot frame: the tiny quadratic-traffic messages
-    (prepare/commit), a client request, and a 64-transaction pre-prepare —
-    encoded and decoded at the transport's default wire version.
+    (prepare/commit), a client request, and a 64-transaction pre-prepare.
     """
     import repro.runtime.control  # noqa: F401  (registers control-plane types)
     from repro.runtime import codec
 
     messages = _codec_messages()
-    version = getattr(codec, "DEFAULT_WIRE_VERSION", codec.WIRE_VERSION)
-
-    def encode(message: Any) -> bytes:
-        try:
-            return codec.encode_envelope(1, message, version=version)
-        except TypeError:  # pre-binary codec: no version parameter
-            return codec.encode_envelope(1, message)
-
-    frames = [encode(message) for message in messages]
-    total_bytes = sum(len(frame) for frame in frames)
+    total_bytes = sum(len(codec.encode_envelope(1, message)) for message in messages)
 
     def work() -> None:
         for message in messages:
-            codec.decode_envelope(encode(message))
+            codec.decode_envelope(codec.encode_envelope(1, message))
 
     seconds = _best_seconds_per_op(work)
     return BenchResult(
@@ -203,7 +193,7 @@ def bench_codec_roundtrip() -> BenchResult:
         unit="roundtrips/s",
         value=len(messages) / seconds,
         higher_is_better=True,
-        meta={"wire_version": version, "frame_bytes_total": total_bytes},
+        meta={"frame_bytes_total": total_bytes},
     )
 
 

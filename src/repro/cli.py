@@ -93,21 +93,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_wire_version_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--wire-version",
-        type=int,
-        default=None,
-        choices=[1, 2, 3],
-        help=(
-            "highest wire version to speak (default: 3, binary with batched "
-            "super-frames; 2 struct-packed binary without batching; 1 pins "
-            "canonical JSON); per-connection encoding is negotiated down via "
-            "the hello handshake"
-        ),
-    )
-
-
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     """Observability flags shared by serve/cluster/chaos."""
     parser.add_argument(
@@ -407,7 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cut a snapshot at most every N completed epochs (default: 1)",
     )
     _add_obs_arguments(serve_parser)
-    _add_wire_version_argument(serve_parser)
 
     cluster_parser = subparsers.add_parser(
         "cluster", help="spawn and supervise a local live cluster"
@@ -458,7 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_durability_arguments(cluster_parser)
     _add_cluster_scale_arguments(cluster_parser)
     _add_cluster_obs_arguments(cluster_parser)
-    _add_wire_version_argument(cluster_parser)
 
     chaos_parser = subparsers.add_parser(
         "chaos",
@@ -562,7 +545,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_durability_arguments(chaos_parser)
     _add_cluster_scale_arguments(chaos_parser)
     _add_cluster_obs_arguments(chaos_parser)
-    _add_wire_version_argument(chaos_parser)
 
     loadgen_parser = subparsers.add_parser(
         "loadgen", help="drive a live cluster with synthetic load"
@@ -613,7 +595,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="RATE",
         help="fraction of transactions traced (must match the replicas' rate)",
     )
-    _add_wire_version_argument(loadgen_parser)
 
     top_parser = subparsers.add_parser(
         "top",
@@ -635,7 +616,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="refreshes before exiting (default: until Ctrl-C)",
     )
-    _add_wire_version_argument(top_parser)
 
     trace_parser = subparsers.add_parser(
         "trace",
@@ -864,7 +844,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         send_delay=args.send_delay,
         wan=args.wan,
         byzantine_abstain=args.byzantine_abstain,
-        wire_version=args.wire_version,
         workers=args.workers,
         obs_enabled=not args.no_obs,
         trace_file=args.trace_file,
@@ -927,7 +906,6 @@ def _command_cluster(args: argparse.Namespace) -> int:
             zipf_exponent=args.zipf_s,
         ),
         faults=faults,
-        wire_version=args.wire_version,
         transport=args.transport,
         workers=args.workers,
         obs_enabled=not args.no_obs,
@@ -1118,7 +1096,6 @@ def _command_chaos(args: argparse.Namespace) -> int:
             zipf_exponent=args.zipf_s,
         ),
         faults=plan,
-        wire_version=args.wire_version,
         transport=args.transport,
         workers=args.workers,
         obs_enabled=not args.no_obs,
@@ -1152,7 +1129,6 @@ def _command_chaos(args: argparse.Namespace) -> int:
             client_id=1000,
             timeout=timeout,
             retries=3,
-            wire_version=args.wire_version,
         ),
     )
     print(
@@ -1235,7 +1211,6 @@ def _command_loadgen(args: argparse.Namespace) -> int:
         client=ClientConfig(
             client_id=args.client_id,
             timeout=args.timeout,
-            wire_version=args.wire_version,
             route_instances=args.route_instances,
         ),
         trace_file=args.trace_file,
@@ -1267,10 +1242,7 @@ def _command_top(args: argparse.Namespace) -> int:
     peers = _parse_peers(args.peers)
 
     async def watch() -> int:
-        client = OrthrusClient(
-            peers,
-            ClientConfig(client_id=args.client_id, wire_version=args.wire_version),
-        )
+        client = OrthrusClient(peers, ClientConfig(client_id=args.client_id))
         await client.connect(require_all=False)
         iteration = 0
         try:

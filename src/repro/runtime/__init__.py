@@ -5,8 +5,8 @@ This package hosts the same consensus code the simulator runs — the
 behind a real asyncio TCP transport, turning the reproduction into a system
 that serves actual network traffic:
 
-* :mod:`repro.runtime.codec` — versioned wire codec (canonical JSON, binary,
-  batched super-frames) for every cluster and PBFT message type;
+* :mod:`repro.runtime.codec` — struct-packed binary wire codec for every
+  cluster and PBFT message type;
 * :mod:`repro.runtime.framing` — length-prefixed frame I/O, batched
   :class:`FrameReader` and super-frame packing;
 * :mod:`repro.runtime.transport` — :class:`AsyncioTransport`, the live
@@ -42,7 +42,6 @@ from repro.runtime.client import ClientConfig, OrthrusClient, TxResult
 from repro.runtime.cluster import ClusterSpec, LocalCluster
 from repro.runtime.codec import (
     WIRE_VERSION,
-    WIRE_VERSION_BATCH,
     WireCodecError,
     decode_envelope,
     decode_envelopes,
@@ -57,7 +56,6 @@ from repro.runtime.framing import (
     FrameReader,
     encode_super_frame,
     is_super_frame,
-    read_frame,
     split_super_frame,
     write_frame,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "ReplicaServer",
     "TxResult",
     "WIRE_VERSION",
-    "WIRE_VERSION_BATCH",
     "WireCodecError",
     "WorkerPool",
     "decode_envelope",
@@ -100,7 +97,6 @@ __all__ = [
     "install_uvloop",
     "is_super_frame",
     "make_worker_pool",
-    "read_frame",
     "split_super_frame",
     "wire_tags",
     "write_frame",

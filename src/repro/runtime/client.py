@@ -5,7 +5,10 @@ transaction is submitted to ``fanout`` replicas and counts as finished when
 ``f + 1`` replicas have replied with the *same* result — matching replies,
 not just any replies.  Requests are pipelined (any number may be in flight),
 and unanswered submissions are retransmitted after a timeout, up to a retry
-budget.
+budget.  Each connection opens with a client ``hello`` (so the replica routes
+replies back over it) and then carries the codec's binary envelopes; the
+submissions a loop iteration queues for one replica go out as one write,
+packed into a super-frame when there are several.
 """
 
 from __future__ import annotations
@@ -18,15 +21,7 @@ from dataclasses import dataclass
 from repro.cluster.messages import ClientRequest
 from repro.errors import NetworkError
 from repro.ledger.transactions import Transaction
-from repro.runtime.codec import (
-    DEFAULT_WIRE_VERSION,
-    SUPPORTED_WIRE_VERSIONS,
-    WIRE_VERSION,
-    WIRE_VERSION_BATCH,
-    WireCodecError,
-    decode_envelopes,
-    encode_envelope,
-)
+from repro.runtime.codec import WireCodecError, decode_envelopes, encode_envelope
 from repro.runtime.config import parse_endpoint
 from repro.runtime.control import (
     Hello,
@@ -82,11 +77,6 @@ class ClientConfig:
         fanout: Replicas each transaction is submitted to (default: all).
         timeout: Seconds to wait for a reply quorum before retransmitting.
         retries: Retransmissions before a submission fails.
-        wire_version: Highest wire version to speak (``None`` = the codec
-            default, struct-packed binary).  Each replica connection is
-            negotiated down to ``min(ours, theirs)`` via the hello exchange;
-            requests sent before a replica's hello arrives use canonical
-            JSON, which every version decodes.
         route_instances: Number of SB instances the cluster runs.  When set,
             first transmissions are *leader-routed*: each transaction goes to
             the view-0 leaders of its payer buckets (the same stable-hash
@@ -103,7 +93,6 @@ class ClientConfig:
     fanout: int | None = None
     timeout: float = 5.0
     retries: int = 2
-    wire_version: int | None = None
     route_instances: int | None = None
 
 
@@ -151,19 +140,6 @@ class OrthrusClient:
             for entry in replicas
         ]
         self.config = config or ClientConfig()
-        self.wire_version = (
-            self.config.wire_version
-            if self.config.wire_version is not None
-            else DEFAULT_WIRE_VERSION
-        )
-        if self.wire_version not in SUPPORTED_WIRE_VERSIONS:
-            raise ClientError(
-                f"unsupported wire version {self.wire_version!r} "
-                f"(supported: {SUPPORTED_WIRE_VERSIONS})"
-            )
-        #: Wire version each replica advertised in its hello reply (replicas
-        #: that have not answered yet are addressed in canonical JSON).
-        self._replica_versions: dict[int, int] = {}
         self.fault_tolerance = (len(self.replicas) - 1) // 3
         self.reply_quorum = self.fault_tolerance + 1
         self.fanout = self.config.fanout or len(self.replicas)
@@ -176,8 +152,7 @@ class OrthrusClient:
         self._readers: list[asyncio.Task[None]] = []
         self._pending: dict[str, _PendingTx] = {}
         #: Request frames queued per replica, flushed once per loop iteration
-        #: (a pipelined burst coalesces into one write — and one super-frame
-        #: for v3 replicas).
+        #: (a pipelined burst coalesces into one write and one super-frame).
         self._out_pending: dict[int, list[bytes]] = {}
         self._sweeper: asyncio.Task[None] | None = None
         self._status_waiters: dict[int, asyncio.Future[StatusReply]] = {}
@@ -205,10 +180,8 @@ class OrthrusClient:
         skipped as long as a reply quorum of ``f + 1`` remains reachable.
         """
         self._loop = asyncio.get_running_loop()
-        # The hello is always canonical JSON: it carries the negotiation.
         hello = encode_envelope(
-            self.config.client_id,
-            Hello(self.config.client_id, role="client", wire_version=self.wire_version),
+            self.config.client_id, Hello(self.config.client_id, role="client")
         )
         semaphore = asyncio.Semaphore(CONNECT_CONCURRENCY)
 
@@ -308,11 +281,6 @@ class OrthrusClient:
         self._ensure_sweeper()
         return future
 
-    def _version_for(self, replica_id: int) -> int:
-        return min(
-            self.wire_version, self._replica_versions.get(replica_id, WIRE_VERSION)
-        )
-
     def _route_targets(self, tx: Transaction) -> list[tuple[int, object]] | None:
         """Pick the view-0 bucket leaders for ``tx``, topped up to a quorum.
 
@@ -339,24 +307,18 @@ class OrthrusClient:
         return picked
 
     def _transmit(self, tx: Transaction, *, broadcast: bool = False) -> None:
-        request = ClientRequest(tx=tx, client_node=self.config.client_id)
-        # One encoding per distinct negotiated version (normally exactly one).
-        frames: dict[int, bytes] = {}
+        frame = encode_envelope(
+            self.config.client_id,
+            ClientRequest(tx=tx, client_node=self.config.client_id),
+        )
         targets = None
         if self._partitioner is not None and not broadcast:
             targets = self._route_targets(tx)
         if targets is None:
             targets = list(self._writers.items())[: self.fanout]
         for replica_id, writer in targets:
-            if writer.is_closing():
-                continue
-            version = self._version_for(replica_id)
-            frame = frames.get(version)
-            if frame is None:
-                frame = frames[version] = encode_envelope(
-                    self.config.client_id, request, version=version
-                )
-            self._queue_frame(replica_id, frame)
+            if not writer.is_closing():
+                self._queue_frame(replica_id, frame)
 
     def _queue_frame(self, replica_id: int, frame: bytes) -> None:
         # Defer the write one loop iteration so a pipelined burst of
@@ -376,7 +338,7 @@ class OrthrusClient:
         writer = self._writers.get(replica_id)
         if writer is None or writer.is_closing():
             return
-        if len(frames) > 1 and self._version_for(replica_id) >= WIRE_VERSION_BATCH:
+        if len(frames) > 1:
             writer.write(encode_frame(encode_super_frame(frames)))
         else:
             writer.write(b"".join(map(encode_frame, frames)))
@@ -451,11 +413,6 @@ class OrthrusClient:
                 logger.debug("client lost replica %d: %s", replica_id, exc)
 
     def _handle_reply(self, replica_id: int, message) -> None:
-        if isinstance(message, Hello):
-            # The replica's answering hello: upgrade this connection
-            # to min(our version, theirs) for subsequent requests.
-            self._replica_versions[replica_id] = message.wire_version
-            return
         if isinstance(message, StatusReply):
             waiter = self._status_waiters.pop(message.nonce, None)
             if waiter is not None and not waiter.done():
@@ -525,11 +482,7 @@ class OrthrusClient:
         self._status_waiters[nonce] = waiter
         await write_frame(
             writer,
-            encode_envelope(
-                self.config.client_id,
-                StatusRequest(nonce=nonce),
-                version=self._version_for(replica_id),
-            ),
+            encode_envelope(self.config.client_id, StatusRequest(nonce=nonce)),
         )
         try:
             return await asyncio.wait_for(waiter, timeout)
@@ -582,11 +535,7 @@ class OrthrusClient:
         self._metrics_waiters[nonce] = waiter
         await write_frame(
             writer,
-            encode_envelope(
-                self.config.client_id,
-                MetricsRequest(nonce=nonce),
-                version=self._version_for(replica_id),
-            ),
+            encode_envelope(self.config.client_id, MetricsRequest(nonce=nonce)),
         )
         try:
             return await asyncio.wait_for(waiter, timeout)
@@ -626,16 +575,10 @@ class OrthrusClient:
     async def shutdown_cluster(self, reason: str = "client request") -> None:
         """Ask every replica to stop serving (used by the supervisor)."""
         request = ShutdownRequest(reason)
-        for replica_id, writer in self._writers.items():
+        frame = encode_envelope(self.config.client_id, request)
+        for writer in self._writers.values():
             if not writer.is_closing():
-                await write_frame(
-                    writer,
-                    encode_envelope(
-                        self.config.client_id,
-                        request,
-                        version=self._version_for(replica_id),
-                    ),
-                )
+                await write_frame(writer, frame)
 
     @property
     def pending_count(self) -> int:

@@ -105,9 +105,6 @@ class ClusterSpec:
     #: abstention configure the replica processes at spawn; crashes and
     #: restarts are executed by a :class:`~repro.runtime.chaos.ChaosController`.
     faults: FaultPlan = field(default_factory=FaultPlan.none)
-    #: Highest wire version the replicas speak (``None`` = codec default,
-    #: batched binary framing; ``1`` pins the cluster to canonical JSON).
-    wire_version: int | None = None
     #: ``"tcp"`` (default) or ``"uds"`` — Unix domain sockets under a
     #: private temp directory, for co-located replicas.
     transport: str = "tcp"
@@ -266,7 +263,6 @@ class LocalCluster:
             wan=wan_to_text(self.spec.faults.wan),
             byzantine_abstain=replica_id
             in abstaining_replicas(self.spec.faults, self.spec.num_replicas),
-            wire_version=self.spec.wire_version,
             workers=self.spec.workers,
             obs_enabled=self.spec.obs_enabled,
             trace_file=trace_file,
@@ -324,8 +320,6 @@ class LocalCluster:
             command += ["--wan", runtime.wan]
         if runtime.byzantine_abstain:
             command += ["--byzantine-abstain"]
-        if spec.wire_version is not None:
-            command += ["--wire-version", str(spec.wire_version)]
         if spec.workers > 0:
             command += ["--workers", str(spec.workers)]
         if not spec.obs_enabled:
@@ -518,9 +512,8 @@ class LocalCluster:
 
         Used by the chaos controller to push partition link updates
         (:class:`~repro.runtime.control.LinkUpdate`).  Synchronous and
-        fire-and-forget: the frame is canonical JSON (v1) so it decodes
-        without version negotiation, and no reply is awaited — link updates
-        are absolute sets, so a lost one is corrected by the next push.
+        fire-and-forget: no hello and no reply — link updates are absolute
+        sets, so a lost one is corrected by the next push.
         Raises ``OSError`` when the replica's socket refuses (e.g. it is
         down); callers decide whether that matters.
         """
@@ -530,9 +523,7 @@ class LocalCluster:
         if not 0 <= replica_id < len(self.endpoints):
             raise ExperimentError(f"no replica {replica_id} to control")
         endpoint = self.endpoints[replica_id]
-        frame = encode_frame(
-            encode_envelope(self.spec.num_replicas, message, version=1)
-        )
+        frame = encode_frame(encode_envelope(self.spec.num_replicas, message))
         if is_uds_endpoint(endpoint):
             with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
                 sock.settimeout(2.0)

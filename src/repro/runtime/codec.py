@@ -1,38 +1,22 @@
-"""Versioned wire codec for all cluster and PBFT messages.
+"""Wire codec for all cluster and PBFT messages.
 
-Two wire versions share one type registry:
+Every frame on a live connection carries one struct-packed envelope: a fixed
+header ``magic(0xB2) version(2) mode sender(i64)`` followed by either a
+*native* payload (one-byte type id, then positional struct-packed fields) or,
+for message types registered without a native layout, their canonical-JSON
+payload embedded verbatim (``mode`` distinguishes the two).  The decoder
+rejects any other magic or version byte.  The native layout is positional,
+so it is not field-extensible: a layout change means a new version byte.
 
-**v1 — canonical JSON** (the compatibility format).  Every message is a
-canonical JSON envelope::
+Batching lives one layer down: a *super-frame* (see
+:mod:`repro.runtime.framing`) packs many envelopes into one length-prefixed
+frame, and :func:`decode_envelopes` accepts either.
 
-    {"v": 1, "t": "<type tag>", "s": <sender node id>, "p": {...payload...}}
-
-``v`` is the wire protocol version, ``t`` identifies the payload type, ``s``
-is the sending node and ``p`` carries the message fields.  Canonical means
-sorted keys and compact separators, so the byte rendering of a message is
-stable across processes and Python versions (the same property the digest
-layer relies on).
-
-Forward compatibility (v1): decoders read the fields they know and **ignore
-unknown fields** at every level (envelope and payload), so a newer peer can
-add fields without breaking older ones.  An unknown type tag or a different
-wire version is an error — those are protocol-level incompatibilities the
-caller must surface, not skate over silently.
-
-**v2 — struct-packed binary** (the performance format).  A fixed header
-``magic(0xB2) version(2) mode sender(i64)`` followed by either a *native*
-payload (one-byte type id, then positional struct-packed fields) or, for
-message types registered without a binary codec, the v1 canonical-JSON
-payload embedded verbatim (``mode`` distinguishes the two).  Binary frames
-decode to values **identical** to what the JSON codec would have produced
-(property-tested in ``tests/properties/test_wire_codec.py``).  The native
-layout is positional, so it is *not* field-extensible — incompatible changes
-bump the version and peers fall back to v1 through the ``hello`` handshake's
-``wire_version`` field (see :mod:`repro.runtime.transport`).
-
-Frames from either version are distinguishable from their first byte (JSON
-always starts with ``{``, binary with the 0xB2 magic), so
-:func:`decode_envelope` accepts both regardless of what this node sends.
+The JSON *payload* codec (:func:`encode_payload` / :func:`decode_payload`)
+renders the embedded-JSON payloads, the WAL's block records and debug
+dumps.  A payload is a canonical JSON object (sorted keys, compact
+separators, so its bytes are stable across processes and Python versions),
+and its decoders read the fields they know and **ignore unknown fields**.
 """
 
 from __future__ import annotations
@@ -57,25 +41,8 @@ from repro.sb.pbft.messages import (
     ViewChange,
 )
 
-#: Canonical-JSON wire version (the compatibility fallback every node speaks).
-WIRE_VERSION = 1
-
-#: Struct-packed binary wire version.
-WIRE_VERSION_BINARY = 2
-
-#: Batched-framing wire version.  A v3 envelope is byte-identical to a v2
-#: envelope; what v3 adds is the *framing-level* super-frame (see
-#: :mod:`repro.runtime.framing`), which packs many envelopes into one
-#: length-prefixed frame.  Negotiating v3 therefore only signals "you may
-#: coalesce frames to me" — the codec itself is unchanged, and a v3 node
-#: falls back to one-envelope-per-frame v2/v1 for older peers.
-WIRE_VERSION_BATCH = 3
-
-#: Versions this node can decode.
-SUPPORTED_WIRE_VERSIONS = (WIRE_VERSION, WIRE_VERSION_BINARY, WIRE_VERSION_BATCH)
-
-#: Version transports prefer when the peer advertises support for it.
-DEFAULT_WIRE_VERSION = WIRE_VERSION_BATCH
+#: Version byte of every envelope header.
+WIRE_VERSION = 2
 
 
 class WireCodecError(NetworkError):
@@ -368,8 +335,8 @@ def register_wire_type(
     """Register an additional message type (used by the control plane).
 
     ``binary`` optionally supplies ``(type_id, encode, decode)`` for a native
-    v2 layout; types registered without one still travel over v2 connections,
-    with their canonical-JSON payload embedded in the binary envelope.
+    layout; types registered without one still travel, with their
+    canonical-JSON payload embedded in the binary envelope.
     """
     _ENCODERS[cls] = (tag, encoder)
     _DECODERS[tag] = decoder
@@ -383,10 +350,9 @@ def wire_tags() -> list[str]:
     return sorted(_DECODERS)
 
 
-# -- binary (v2) primitives ---------------------------------------------------
+# -- binary primitives -------------------------------------------------------
 
-#: First byte of every binary frame.  Can never collide with JSON frames,
-#: which always start with ``{`` (0x7B).
+#: First byte of every envelope.
 _BINARY_MAGIC = 0xB2
 
 #: Binary payload modes.
@@ -699,7 +665,7 @@ def _r_block_pairs(buf: bytes, off: int) -> tuple[tuple[tuple[int, Block], ...],
     return tuple(pairs), off
 
 
-# -- binary (v2) message layouts ----------------------------------------------
+# -- binary message layouts --------------------------------------------------
 
 
 def _b_enc_client_request(out: list[bytes], msg: ClientRequest) -> None:
@@ -935,61 +901,37 @@ def decode_payload(tag: str, payload: dict[str, Any]) -> Any:
         raise WireCodecError(f"malformed {tag} payload: {exc}") from exc
 
 
-def _encode_envelope_json(sender: int, message: Any) -> bytes:
-    tag, payload = encode_payload(message)
-    envelope = {"v": WIRE_VERSION, "t": tag, "s": sender, "p": payload}
-    return json.dumps(
-        envelope, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
-
-
-def _encode_envelope_binary(sender: int, message: Any) -> bytes:
+def encode_envelope(sender: int, message: Any) -> bytes:
+    """Serialise ``message`` from ``sender`` into one binary envelope."""
     entry = _BINARY_ENCODERS.get(type(message))
     if entry is not None:
         type_id, encoder = entry
         out = [
-            _HEADER.pack(_BINARY_MAGIC, WIRE_VERSION_BINARY, _MODE_NATIVE, sender),
+            _HEADER.pack(_BINARY_MAGIC, WIRE_VERSION, _MODE_NATIVE, sender),
             _U8.pack(type_id),
         ]
         encoder(out, message)
         return b"".join(out)
-    # No native layout: embed the canonical-JSON payload in a v2 envelope.
+    # No native layout: embed the canonical-JSON payload.
     tag, payload = encode_payload(message)
-    out = [
-        _HEADER.pack(_BINARY_MAGIC, WIRE_VERSION_BINARY, _MODE_EMBEDDED_JSON, sender)
-    ]
+    out = [_HEADER.pack(_BINARY_MAGIC, WIRE_VERSION, _MODE_EMBEDDED_JSON, sender)]
     _w_str(out, tag)
     _w_json(out, payload)
     return b"".join(out)
 
 
-def encode_envelope(
-    sender: int, message: Any, *, version: int = WIRE_VERSION
-) -> bytes:
-    """Serialise ``message`` from ``sender`` at the requested wire version.
-
-    The default stays v1 (canonical JSON) — transports opt into v2 per peer
-    once the ``hello`` handshake has advertised support for it.
-    """
-    if version == WIRE_VERSION:
-        return _encode_envelope_json(sender, message)
-    if version in (WIRE_VERSION_BINARY, WIRE_VERSION_BATCH):
-        # v3 envelopes are v2 envelopes; batching happens at the framing
-        # layer, not here.
-        return _encode_envelope_binary(sender, message)
-    raise WireCodecError(
-        f"cannot encode wire version {version!r} "
-        f"(supported: {SUPPORTED_WIRE_VERSIONS})"
-    )
-
-
-def _decode_envelope_binary(data: bytes) -> tuple[int, Any]:
+def decode_envelope(data: bytes) -> tuple[int, Any]:
+    """Deserialise one envelope, returning ``(sender, message)``."""
+    if not data:
+        raise WireCodecError("empty frame")
     try:
         magic, version, mode, sender = _HEADER.unpack_from(data, 0)
-        if version != WIRE_VERSION_BINARY:
+        if magic != _BINARY_MAGIC:
+            raise WireCodecError(f"not a wire envelope (first byte {magic:#04x})")
+        if version != WIRE_VERSION:
             raise WireCodecError(
                 f"unsupported wire version {version!r} "
-                f"(this node speaks {SUPPORTED_WIRE_VERSIONS})"
+                f"(this node speaks {WIRE_VERSION})"
             )
         off = _HEADER.size
         if mode == _MODE_NATIVE:
@@ -1018,40 +960,11 @@ def _decode_envelope_binary(data: bytes) -> tuple[int, Any]:
         raise WireCodecError(f"malformed binary frame: {exc}") from exc
 
 
-def decode_envelope(data: bytes) -> tuple[int, Any]:
-    """Deserialise one envelope (either wire version), returning
-    ``(sender, message)``."""
-    if not data:
-        raise WireCodecError("empty frame")
-    if data[0] == _BINARY_MAGIC:
-        return _decode_envelope_binary(data)
-    try:
-        envelope = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireCodecError(f"undecodable frame: {exc}") from exc
-    if not isinstance(envelope, dict):
-        raise WireCodecError("frame is not a JSON object")
-    version = envelope.get("v")
-    if version != WIRE_VERSION:
-        raise WireCodecError(
-            f"unsupported wire version {version!r} (this node speaks {WIRE_VERSION})"
-        )
-    try:
-        tag = envelope["t"]
-        sender = int(envelope["s"])
-        payload = envelope["p"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireCodecError(f"malformed envelope: {exc}") from exc
-    return sender, decode_payload(tag, payload)
-
-
 def decode_envelopes(data: bytes) -> list[tuple[int, Any]]:
     """Deserialise a frame payload into its ``(sender, message)`` pairs.
 
-    A plain envelope yields one pair; a super-frame (wire v3 framing) yields
-    one per packed envelope, in order.  Accepted regardless of this node's
-    advertised version — like v1/v2 sniffing, decoding is liberal even when
-    the local sender is pinned to an older version.
+    A plain envelope yields one pair; a super-frame yields one per packed
+    envelope, in order.
     """
     if data and data[0] == SUPER_FRAME_MAGIC:
         try:

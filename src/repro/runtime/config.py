@@ -97,10 +97,6 @@ class ReplicaRuntimeConfig:
             instances it currently leads and silently drops its consensus
             messages for every other instance (the paper's undetectable
             Byzantine abstention, Fig. 8).
-        wire_version: Highest wire version this replica speaks (``None`` =
-            the codec default, batched binary framing; ``1`` pins the node to
-            the canonical-JSON fallback).  Actual per-peer encoding is
-            negotiated down through the ``hello`` handshake.
         workers: Crypto/codec worker processes for this replica (0 = do all
             work inline on the event loop; the right choice for small
             clusters and single-core hosts).
@@ -144,7 +140,6 @@ class ReplicaRuntimeConfig:
     send_delay: float = 0.0
     wan: str | None = None
     byzantine_abstain: bool = False
-    wire_version: int | None = None
     workers: int = 0
     obs_enabled: bool = True
     trace_file: str | None = None

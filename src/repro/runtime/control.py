@@ -3,14 +3,7 @@
 These never appear in the simulator: connection handshakes, status probes
 (used by the load generator and the cluster supervisor to read committed
 counts, state digests and the latency-stage breakdown) and graceful shutdown.
-They ride the same versioned wire codec as the consensus messages.
-
-The :class:`Hello` handshake doubles as the wire-version negotiation: every
-connection opens with a v1 (canonical JSON) hello advertising the highest
-wire version the sender speaks, and each side then encodes *to* that peer at
-``min(own version, advertised version)`` — so a v2 cluster runs struct-packed
-binary frames end to end, while any v1-only peer transparently keeps
-receiving canonical JSON.
+They ride the same binary wire codec as the consensus messages.
 """
 
 from __future__ import annotations
@@ -20,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.runtime.codec import (
-    WIRE_VERSION_BINARY,
     _I64,
     _r_json,
     _r_str,
@@ -32,12 +24,11 @@ from repro.runtime.codec import (
 
 @dataclass(frozen=True)
 class Hello:
-    """First frame on every connection: who is calling, in what role, and
-    the highest wire version the caller can decode."""
+    """First frame on every connection: who is calling, and in what role
+    (a client hello makes the replica route replies back over it)."""
 
     node_id: int
     role: str = "replica"  # "replica" | "client"
-    wire_version: int = WIRE_VERSION_BINARY
 
 
 @dataclass(frozen=True)
@@ -151,9 +142,6 @@ def _decode_hello(data: dict[str, Any]) -> Hello:
     return Hello(
         node_id=int(data["node_id"]),
         role=data.get("role", "replica"),
-        # Peers predating the binary codec never sent the field; they speak
-        # canonical JSON (v1) only.
-        wire_version=int(data.get("wire_version", 1)),
     )
 
 
@@ -221,20 +209,18 @@ def _decode_link_update(data: dict[str, Any]) -> LinkUpdate:
     )
 
 
-# -- binary (v2) layouts -------------------------------------------------------
-
-_HELLO_FIXED = struct.Struct(">qB")  # node_id, wire_version
+# -- binary layouts ----------------------------------------------------------
 
 
 def _b_enc_hello(out: list[bytes], msg: Hello) -> None:
-    out.append(_HELLO_FIXED.pack(msg.node_id, msg.wire_version))
+    out.append(_I64.pack(msg.node_id))
     _w_str(out, msg.role)
 
 
 def _b_dec_hello(buf: bytes, off: int) -> tuple[Hello, int]:
-    node_id, wire_version = _HELLO_FIXED.unpack_from(buf, off)
-    role, off = _r_str(buf, off + _HELLO_FIXED.size)
-    return Hello(node_id=node_id, role=role, wire_version=wire_version), off
+    (node_id,) = _I64.unpack_from(buf, off)
+    role, off = _r_str(buf, off + _I64.size)
+    return Hello(node_id=node_id, role=role), off
 
 
 def _b_enc_status_request(out: list[bytes], msg: StatusRequest) -> None:
@@ -399,7 +385,7 @@ def _b_dec_metrics_reply(buf: bytes, off: int) -> tuple[MetricsReply, int]:
 register_wire_type(
     Hello,
     "hello",
-    lambda m: {"node_id": m.node_id, "role": m.role, "wire_version": m.wire_version},
+    lambda m: {"node_id": m.node_id, "role": m.role},
     _decode_hello,
     binary=(16, _b_enc_hello, _b_dec_hello),
 )

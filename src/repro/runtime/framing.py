@@ -10,10 +10,10 @@ Two batching constructs sit on top of the basic frame:
 * :class:`FrameReader` — a buffered reader that parses every complete frame
   out of each socket read, so a burst of small frames costs one ``await``
   instead of two ``readexactly`` awaits per frame;
-* *super-frames* (wire v3) — one frame whose payload packs many envelopes
+* *super-frames* — one frame whose payload packs many envelopes
   (``0xB3 magic, u32 count, then count × <u32 length><envelope>``).  The
-  envelope bytes inside are ordinary v1/v2 envelopes, so batching lives
-  entirely at the framing layer and the codec is untouched.
+  envelope bytes inside are the codec's ordinary envelopes, so batching
+  lives entirely at the framing layer and the codec knows nothing of it.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 
-#: First payload byte of a super-frame.  Distinct from the v2 envelope magic
-#: (``0xB2``) and from ``{`` (0x7B), the first byte of every v1 envelope, so
-#: a decoder can sniff the payload kind from one byte.
+#: First payload byte of a super-frame.  Distinct from the envelope magic
+#: (``0xB2``), so a decoder can sniff the payload kind from one byte.
 SUPER_FRAME_MAGIC = 0xB3
 
 _SUPER_HEADER = struct.Struct(">BI")
@@ -48,23 +47,6 @@ def encode_frame(payload: bytes) -> bytes:
     return _LENGTH.pack(len(payload)) + payload
 
 
-async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
-    """Read one frame; returns ``None`` on clean EOF before a frame starts."""
-    try:
-        header = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameError("connection closed mid-frame") from exc
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"peer announced a {length}-byte frame (max {MAX_FRAME_BYTES})")
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameError("connection closed mid-frame") from exc
-
-
 async def write_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:
     """Write one frame and drain the transport buffer."""
     writer.write(encode_frame(payload))
@@ -74,12 +56,12 @@ async def write_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:
 class FrameReader:
     """Buffered frame reader over an :class:`asyncio.StreamReader`.
 
-    ``read_frame`` parses frames one ``readexactly`` pair at a time — two
-    scheduler round-trips per frame, which dominates the receive path under
-    load.  ``FrameReader`` instead reads the socket in large chunks and
-    slices every complete frame out of its buffer, so all the frames that
-    arrived together (one TCP segment, or a backlog the kernel already
-    buffered) surface from a single ``await``.
+    Reading a frame as a ``readexactly`` pair costs two scheduler
+    round-trips per frame, which dominates the receive path under load.
+    ``FrameReader`` instead reads the socket in large chunks and slices every
+    complete frame out of its buffer, so all the frames that arrived together
+    (one TCP segment, or a backlog the kernel already buffered) surface from
+    a single ``await``.
     """
 
     __slots__ = ("_reader", "_buffer", "_eof")
@@ -137,7 +119,7 @@ class FrameReader:
         return frames
 
 
-# -- super-frames (wire v3) ---------------------------------------------------
+# -- super-frames ------------------------------------------------------------
 
 
 def encode_super_frame(envelopes: Sequence[bytes]) -> bytes:

@@ -144,7 +144,6 @@ class ReplicaServer:
             peer_delay=wan_delay_map(
                 self.config.wan, self.config.replica_id, self.config.num_replicas
             ),
-            wire_version=self.config.wire_version,
             registry=self.registry,
         )
         core = self.config.build_core()
@@ -335,9 +334,9 @@ class ReplicaServer:
 
         The read side is batched twice over: the :class:`FrameReader`
         surfaces every frame a socket read delivered in one ``await``, and a
-        super-frame (wire v3) expands into its packed envelopes.  Large
-        batches are decoded on the worker pool, keeping the hashing/parsing
-        off the consensus event loop.
+        super-frame expands into its packed envelopes.  Large batches are
+        decoded on the worker pool, keeping the hashing/parsing off the
+        consensus event loop.
         """
         assert self.transport is not None and self.replica is not None
         registered: int | None = None
@@ -398,34 +397,18 @@ class ReplicaServer:
         """Route one decoded message; returns (registered, keep serving)."""
         assert self.transport is not None and self.replica is not None
         if isinstance(message, Hello):
-            # Every hello advertises the sender's wire version; the
-            # transport then encodes to that node at min(ours, theirs).
-            self.transport.note_peer_version(message.node_id, message.wire_version)
             if message.role == "client":
                 registered = message.node_id
                 self.transport.register_stream(registered, writer)
-                # Answer with our own hello so the client can upgrade
-                # its request encoding symmetrically.
-                await write_frame(
-                    writer,
-                    encode_envelope(
-                        self.config.replica_id,
-                        Hello(
-                            self.config.replica_id,
-                            role="replica",
-                            wire_version=self.transport.wire_version,
-                        ),
-                    ),
-                )
             return registered, True
         if isinstance(message, StatusRequest):
-            await self._send_status(writer, message.nonce, sender)
+            await self._send(writer, self.status(message.nonce))
             return registered, True
         if isinstance(message, MetricsRequest):
-            await self._send_metrics(writer, message.nonce, sender)
+            await self._send(writer, self.metrics_reply(message.nonce))
             return registered, True
         if isinstance(message, RecoveryRequest):
-            await self._send_recovery(writer, message, sender)
+            await self._send_recovery(writer, message)
             return registered, True
         if isinstance(message, LinkUpdate):
             # Chaos control plane: replace the partition-blocked peer set.
@@ -464,32 +447,10 @@ class ReplicaServer:
         self.replica.receive(sender, message)
         return registered, True
 
-    async def _send_status(
-        self, writer: asyncio.StreamWriter, nonce: int, requester: int
-    ) -> None:
-        assert self.transport is not None
-        reply = self.status(nonce)
-        await write_frame(
-            writer,
-            encode_envelope(
-                self.config.replica_id,
-                reply,
-                version=self.transport.version_for(requester),
-            ),
-        )
-
-    async def _send_metrics(
-        self, writer: asyncio.StreamWriter, nonce: int, requester: int
-    ) -> None:
-        assert self.transport is not None
-        await write_frame(
-            writer,
-            encode_envelope(
-                self.config.replica_id,
-                self.metrics_reply(nonce),
-                version=self.transport.version_for(requester),
-            ),
-        )
+    async def _send(self, writer: asyncio.StreamWriter, message: Any) -> None:
+        """Write one envelope straight to ``writer`` (control-plane traffic
+        that bypasses the transport's queues)."""
+        await write_frame(writer, encode_envelope(self.config.replica_id, message))
 
     # -- crash recovery / state transfer ------------------------------------
 
@@ -539,29 +500,13 @@ class ReplicaServer:
         self, endpoint: tuple[str, int]
     ) -> tuple[int, tuple[int, ...]]:
         """Request snapshot + block batches from one peer until caught up."""
-        assert self.replica is not None and self.transport is not None
+        assert self.replica is not None
         reader, writer = await connect_endpoint(endpoint)
         fetched = 0
         views: tuple[int, ...] = ()
         try:
             frames = FrameReader(reader)
-            # Recovery is a one-shot control exchange, not the hot path: our
-            # frames on it are canonical JSON (v1), which every peer decodes
-            # without waiting for negotiation.  The hello still advertises
-            # the transport's real version: the peer records it per node, so
-            # advertising v1 here would downgrade its consensus link to us.
-            await write_frame(
-                writer,
-                encode_envelope(
-                    self.config.replica_id,
-                    Hello(
-                        self.config.replica_id,
-                        role="replica",
-                        wire_version=self.transport.wire_version,
-                    ),
-                    version=1,
-                ),
-            )
+            await self._send(writer, Hello(self.config.replica_id, role="replica"))
             nonce = 0
             while True:
                 nonce += 1
@@ -572,10 +517,7 @@ class ReplicaServer:
                         self.replica.core.delivered_state().sequence_numbers
                     ),
                 )
-                await write_frame(
-                    writer,
-                    encode_envelope(self.config.replica_id, request, version=1),
-                )
+                await self._send(writer, request)
                 reply = await self._read_recovery_reply(frames, nonce)
                 if reply is None:
                     break
@@ -793,10 +735,10 @@ class ReplicaServer:
             )
 
     async def _send_recovery(
-        self, writer: asyncio.StreamWriter, request: RecoveryRequest, requester: int
+        self, writer: asyncio.StreamWriter, request: RecoveryRequest
     ) -> None:
         """Answer a recovering peer with our snapshot and missing blocks."""
-        assert self.replica is not None and self.transport is not None
+        assert self.replica is not None
         core = self.replica.core
         width = core.config.num_instances
         requestor_frontier = list(request.frontier)
@@ -842,14 +784,7 @@ class ReplicaServer:
             snapshot=snapshot_text,
             blocks=tuple(_encode_block(block) for block in blocks),
         )
-        await write_frame(
-            writer,
-            encode_envelope(
-                self.config.replica_id,
-                reply,
-                version=self.transport.version_for(requester),
-            ),
-        )
+        await self._send(writer, reply)
 
     # -- introspection ------------------------------------------------------
 

@@ -10,16 +10,12 @@ Each writer task drains its queue in batches: every frame that is already due
 is coalesced into one buffer and flushed with a single ``write`` + ``drain``,
 so a burst of consensus messages costs one syscall round, not one per frame.
 
-Wire-version negotiation: every connection opens with a v1 (canonical JSON)
-``hello`` advertising the sender's highest wire version.  The hosting server
-feeds advertised versions back via :meth:`note_peer_version`, and each
-destination is then encoded at ``min(own, advertised)`` — struct-packed
-binary (v2) between upgraded peers, canonical JSON for everyone else and for
-peers whose hello has not arrived yet.  ``broadcast`` encodes once per
-distinct negotiated version, not once per peer.  Peers that negotiated v3
-additionally receive coalesced batches as *super-frames* (one length-prefixed
-frame packing many v2 envelopes, see :mod:`repro.runtime.framing`), so a
-burst costs the receiver one frame parse instead of one per message.
+Every connection opens with a ``hello`` naming the caller and its role, and
+every frame carries the codec's one binary envelope, so ``broadcast``
+encodes a message once for all peers.  A coalesced batch of more than one
+frame goes out as a *super-frame* (one length-prefixed frame packing many
+envelopes, see :mod:`repro.runtime.framing`), so a burst costs the receiver
+one frame parse instead of one per message.
 
 Endpoints whose host is ``unix:<path>`` are dialled as Unix domain sockets —
 for co-located replicas this skips the TCP/IP stack entirely.
@@ -38,13 +34,7 @@ import random
 from typing import Any, Callable, Iterable
 
 from repro.obs.registry import MetricsRegistry, NullRegistry
-from repro.runtime.codec import (
-    DEFAULT_WIRE_VERSION,
-    SUPPORTED_WIRE_VERSIONS,
-    WIRE_VERSION,
-    WIRE_VERSION_BATCH,
-    encode_envelope,
-)
+from repro.runtime.codec import encode_envelope
 from repro.runtime.config import is_uds_endpoint, uds_path
 from repro.runtime.control import Hello
 from repro.runtime.framing import encode_frame, encode_super_frame, write_frame
@@ -163,22 +153,11 @@ class AsyncioTransport:
         role: str = "replica",
         send_delay: float = 0.0,
         peer_delay: dict[int, float] | None = None,
-        wire_version: int | None = None,
         registry: MetricsRegistry | NullRegistry | None = None,
     ) -> None:
         self.node_id = node_id
         self.peers = dict(peers)
         self.role = role
-        #: Highest wire version this transport is willing to speak.  ``None``
-        #: resolves to the codec default (binary).
-        if wire_version is None:
-            wire_version = DEFAULT_WIRE_VERSION
-        if wire_version not in SUPPORTED_WIRE_VERSIONS:
-            raise ValueError(
-                f"unsupported wire version {wire_version!r} "
-                f"(supported: {SUPPORTED_WIRE_VERSIONS})"
-            )
-        self.wire_version = wire_version
         #: Chaos knob: seconds each outbound replica-to-replica frame is held
         #: before hitting the socket (straggler injection; 0.0 = healthy).
         self.send_delay = max(0.0, send_delay)
@@ -208,9 +187,6 @@ class AsyncioTransport:
         #: Frames queued towards registered (client) streams, flushed once
         #: per loop iteration so a burst of replies coalesces.
         self._stream_pending: dict[int, list[bytes]] = {}
-        #: Highest wire version each peer advertised through its hello
-        #: (absent peers conservatively get v1 canonical JSON).
-        self._peer_versions: dict[int, int] = {}
         self._timers: list[LiveTimer] = []
         self._closed = False
         #: Observability: named registry instruments.  Transports are
@@ -254,8 +230,8 @@ class AsyncioTransport:
 
     @property
     def frames_encoded(self) -> int:
-        """Envelope encodings performed (a broadcast encodes once per
-        distinct negotiated peer version, not once per destination)."""
+        """Envelope encodings performed (a broadcast encodes once, not once
+        per destination)."""
         return self._c_frames_encoded.value
 
     @property
@@ -316,17 +292,6 @@ class AsyncioTransport:
         """
         return self._loop.time()
 
-    # -- wire-version negotiation --------------------------------------------
-
-    def note_peer_version(self, node_id: int, version: int) -> None:
-        """Record the wire version ``node_id`` advertised in its hello."""
-        self._peer_versions[node_id] = max(1, int(version))
-
-    def version_for(self, destination: int) -> int:
-        """Wire version to encode with for ``destination`` (min of the two
-        sides; v1 until the peer's hello has been observed)."""
-        return min(self.wire_version, self._peer_versions.get(destination, WIRE_VERSION))
-
     # -- timers -------------------------------------------------------------
 
     def set_timer(self, delay: float, callback: Callable[[], Any]) -> LiveTimer:
@@ -352,9 +317,9 @@ class AsyncioTransport:
 
     # -- sending ------------------------------------------------------------
 
-    def _encode(self, message: Any, version: int) -> bytes:
+    def _encode(self, message: Any) -> bytes:
         self._c_frames_encoded.inc()
-        return encode_envelope(self.node_id, message, version=version)
+        return encode_envelope(self.node_id, message)
 
     def send(self, destination: int, message: Any) -> None:
         """Queue ``message`` for ``destination`` (peer or registered stream)."""
@@ -371,7 +336,7 @@ class AsyncioTransport:
                 self._c_partition_drops.inc()
                 return
             queue = self._ensure_peer(destination)
-            frame = self._encode(message, self.version_for(destination))
+            frame = self._encode(message)
             if queue.full():
                 # Drop-oldest keeps the writer from wedging the state machine
                 # when a peer is down; PBFT tolerates message loss (retransmit
@@ -380,9 +345,7 @@ class AsyncioTransport:
                 self._c_frames_dropped.inc()
             queue.put_nowait((self._due_time(destination), frame))
         elif destination in self._streams:
-            self._write_to_stream(
-                destination, self._encode(message, self.version_for(destination))
-            )
+            self._write_to_stream(destination, self._encode(message))
         else:
             self._c_frames_dropped.inc()
 
@@ -409,15 +372,13 @@ class AsyncioTransport:
         ]
         if not targets:
             return
-        frames: dict[int, bytes] = {}
+        frame = None
         for peer_id in targets:
             if peer_id in self.blocked:
                 self._c_partition_drops.inc()
                 continue
-            version = self.version_for(peer_id)
-            frame = frames.get(version)
             if frame is None:
-                frame = frames[version] = self._encode(message, version)
+                frame = self._encode(message)
             queue = self._ensure_peer(peer_id)
             if queue.full():
                 queue.get_nowait()
@@ -428,8 +389,8 @@ class AsyncioTransport:
 
     def _write_to_stream(self, destination: int, frame: bytes) -> None:
         # Defer the actual write one loop iteration: every reply generated
-        # by the current callback burst lands in one flush (and, for v3
-        # clients, one super-frame) instead of one syscall per reply.
+        # by the current callback burst lands in one flush (and one
+        # super-frame) instead of one syscall per reply.
         pending = self._stream_pending.get(destination)
         if pending is None:
             self._stream_pending[destination] = [frame]
@@ -451,11 +412,7 @@ class AsyncioTransport:
             # bound (it can recover the result by retransmitting).
             self._c_frames_dropped.inc(len(frames))
             return
-        if (
-            len(frames) > 1
-            and self.version_for(destination) >= WIRE_VERSION_BATCH
-            and sum(map(len, frames)) <= SUPER_FRAME_BYTES_LIMIT
-        ):
+        if len(frames) > 1 and sum(map(len, frames)) <= SUPER_FRAME_BYTES_LIMIT:
             buffer = encode_frame(encode_super_frame(frames))
             writer.write(buffer)
             self._c_super_frames_sent.inc()
@@ -475,7 +432,6 @@ class AsyncioTransport:
         if node_id in self._streams:
             del self._streams[node_id]
         self._stream_pending.pop(node_id, None)
-        self._peer_versions.pop(node_id, None)
 
     # -- outbound connections ------------------------------------------------
 
@@ -538,15 +494,8 @@ class AsyncioTransport:
                 self._c_reconnects.inc()
             connected_before = True
             try:
-                # The hello is always canonical JSON (v1): it is the frame
-                # that *carries* the version negotiation, so it must be
-                # decodable by any peer.
                 await write_frame(
-                    writer,
-                    encode_envelope(
-                        self.node_id,
-                        Hello(self.node_id, self.role, self.wire_version),
-                    ),
+                    writer, encode_envelope(self.node_id, Hello(self.node_id, self.role))
                 )
                 while not self._closed:
                     if carry is not None:
@@ -584,10 +533,7 @@ class AsyncioTransport:
                             break
                         batch.append(next_frame)
                         batch_bytes += len(next_frame)
-                    if (
-                        len(batch) > 1
-                        and self.version_for(peer_id) >= WIRE_VERSION_BATCH
-                    ):
+                    if len(batch) > 1:
                         buffer = encode_frame(encode_super_frame(batch))
                         self._c_super_frames_sent.inc()
                     else:

@@ -29,7 +29,7 @@ from typing import Any, Sequence
 from repro.crypto.digest import canonical_bytes, sha256_hex
 from repro.crypto.keys import PublicKeyInfrastructure
 from repro.crypto.signatures import Signature, verify
-from repro.runtime.codec import WireCodecError, decode_envelope, encode_envelope
+from repro.runtime.codec import WireCodecError, decode_envelope
 from repro.runtime.framing import FrameError, is_super_frame, split_super_frame
 
 #: Inbound batches below this byte size are decoded inline even when a pool
@@ -94,14 +94,6 @@ def _warm_digests(message: Any) -> None:
                 _ = block.digest
 
 
-def encode_envelopes(jobs: Sequence[tuple[int, Any, int]]) -> list[bytes]:
-    """Encode ``(sender, message, version)`` jobs into envelope bytes."""
-    return [
-        encode_envelope(sender, message, version=version)
-        for sender, message, version in jobs
-    ]
-
-
 def digest_batch(values: Sequence[Any]) -> list[str]:
     """Content digests of ``values`` (same function consensus uses)."""
     return [sha256_hex(canonical_bytes(value)) for value in values]
@@ -131,9 +123,6 @@ class InlineWorkers:
         self, payloads: Sequence[bytes]
     ) -> list[tuple[int, Any] | WireCodecError]:
         return decode_payloads(payloads)
-
-    async def encode(self, jobs: Sequence[tuple[int, Any, int]]) -> list[bytes]:
-        return encode_envelopes(jobs)
 
     async def digests(self, values: Sequence[Any]) -> list[str]:
         return digest_batch(values)
@@ -178,10 +167,6 @@ class WorkerPool:
     ) -> list[tuple[int, Any] | WireCodecError]:
         self.items_submitted += len(payloads)
         return await self._run(_decode_warm, list(payloads))
-
-    async def encode(self, jobs: Sequence[tuple[int, Any, int]]) -> list[bytes]:
-        self.items_submitted += len(jobs)
-        return await self._run(encode_envelopes, list(jobs))
 
     async def digests(self, values: Sequence[Any]) -> list[str]:
         self.items_submitted += len(values)

@@ -1,10 +1,9 @@
-"""Property tests for wire v3 super-frames.
+"""Property tests for super-frames.
 
-Wire v3 changes *framing only*: a super-frame packs many envelopes into one
+A super-frame changes *framing only*: it packs many envelopes into one
 frame, and the envelope bytes inside must be exactly the bytes a sequential
-v2 sender would have framed individually.  These properties pin that
-equivalence for every message type crossing the wire, so a v3 node can
-always interoperate with pinned v1/v2 peers.
+sender would have framed individually.  These properties pin that
+equivalence for every message type crossing the wire.
 """
 
 from __future__ import annotations
@@ -13,14 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.codec import (
-    WIRE_VERSION,
-    WIRE_VERSION_BATCH,
-    WIRE_VERSION_BINARY,
-    decode_envelope,
-    decode_envelopes,
-    encode_envelope,
-)
+from repro.runtime.codec import decode_envelope, decode_envelopes, encode_envelope
 from repro.runtime.framing import (
     SUPER_FRAME_MAGIC,
     FrameError,
@@ -30,32 +22,17 @@ from repro.runtime.framing import (
 )
 from test_wire_codec import all_messages, assert_deep_equal, small_ints
 
-envelope_versions = st.sampled_from([WIRE_VERSION, WIRE_VERSION_BINARY])
-
-
-@settings(max_examples=200, deadline=None)
-@given(sender=small_ints, message=all_messages)
-def test_v3_envelope_bytes_are_identical_to_v2(sender, message):
-    """v3 is framing-level only: envelope encoding is bit-identical to v2."""
-    v2 = encode_envelope(sender, message, version=WIRE_VERSION_BINARY)
-    v3 = encode_envelope(sender, message, version=WIRE_VERSION_BATCH)
-    assert v2 == v3
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     jobs=st.lists(
-        st.tuples(small_ints, all_messages, envelope_versions),
+        st.tuples(small_ints, all_messages),
         min_size=1,
         max_size=8,
     )
 )
 def test_super_frame_split_returns_the_packed_bytes(jobs):
     """Packing then splitting yields the sequential envelopes verbatim."""
-    envelopes = [
-        encode_envelope(sender, message, version=version)
-        for sender, message, version in jobs
-    ]
+    envelopes = [encode_envelope(sender, message) for sender, message in jobs]
     payload = encode_super_frame(envelopes)
     assert is_super_frame(payload)
     assert split_super_frame(payload) == envelopes
@@ -64,21 +41,18 @@ def test_super_frame_split_returns_the_packed_bytes(jobs):
 @settings(max_examples=100, deadline=None)
 @given(
     jobs=st.lists(
-        st.tuples(small_ints, all_messages, envelope_versions),
+        st.tuples(small_ints, all_messages),
         min_size=1,
         max_size=8,
     )
 )
 def test_batched_decode_matches_sequential_decode(jobs):
     """decode_envelopes over a super-frame == decode_envelope per frame."""
-    envelopes = [
-        encode_envelope(sender, message, version=version)
-        for sender, message, version in jobs
-    ]
+    envelopes = [encode_envelope(sender, message) for sender, message in jobs]
     batched = decode_envelopes(encode_super_frame(envelopes))
     sequential = [decode_envelope(envelope) for envelope in envelopes]
     assert len(batched) == len(sequential) == len(jobs)
-    for (b_sender, b_message), (s_sender, s_message), (sender, message, _) in zip(
+    for (b_sender, b_message), (s_sender, s_message), (sender, message) in zip(
         batched, sequential, jobs
     ):
         assert b_sender == s_sender == sender
@@ -87,11 +61,9 @@ def test_batched_decode_matches_sequential_decode(jobs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(sender=small_ints, message=all_messages, version=envelope_versions)
-def test_singleton_super_frame_decodes_like_the_bare_envelope(
-    sender, message, version
-):
-    envelope = encode_envelope(sender, message, version=version)
+@given(sender=small_ints, message=all_messages)
+def test_singleton_super_frame_decodes_like_the_bare_envelope(sender, message):
+    envelope = encode_envelope(sender, message)
     [(batched_sender, batched_message)] = decode_envelopes(
         encode_super_frame([envelope])
     )
@@ -101,13 +73,11 @@ def test_singleton_super_frame_decodes_like_the_bare_envelope(
 
 
 @settings(max_examples=100, deadline=None)
-@given(sender=small_ints, message=all_messages, version=envelope_versions)
-def test_plain_envelopes_are_never_sniffed_as_super_frames(
-    sender, message, version
-):
-    """v1 starts with ``{`` and v2 with 0xB2 — the 0xB3 sniff cannot collide,
-    so ``decode_envelopes`` passes bare envelopes through untouched."""
-    envelope = encode_envelope(sender, message, version=version)
+@given(sender=small_ints, message=all_messages)
+def test_plain_envelopes_are_never_sniffed_as_super_frames(sender, message):
+    """Envelopes start with 0xB2 — the 0xB3 sniff cannot collide, so
+    ``decode_envelopes`` passes bare envelopes through untouched."""
+    envelope = encode_envelope(sender, message)
     assert not is_super_frame(envelope)
     [(decoded_sender, decoded)] = decode_envelopes(envelope)
     assert decoded_sender == sender
@@ -118,7 +88,7 @@ class TestMalformedSuperFrames:
     def _envelope(self) -> bytes:
         from repro.runtime.control import StatusRequest
 
-        return encode_envelope(1, StatusRequest(nonce=7), version=WIRE_VERSION_BINARY)
+        return encode_envelope(1, StatusRequest(nonce=7))
 
     def test_count_beyond_payload_is_an_error(self):
         payload = bytes([SUPER_FRAME_MAGIC]) + (1000).to_bytes(4, "big")

@@ -1,8 +1,10 @@
 """Property-based round-trip tests for the live wire codec.
 
-Every message type crossing the wire — the cluster's client messages and the
-full PBFT family — must survive encode → decode exactly, and decoders must
-tolerate unknown fields (forward compatibility with newer peers).
+Every message type crossing the wire — the cluster's client messages, the
+full PBFT family and the control plane — must survive encode → decode
+exactly, through the binary envelope and through the JSON payload codec (the
+WAL's block records and embedded-JSON payloads), and payload decoders must
+tolerate unknown fields.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from repro.ledger.objects import ObjectOperation, ObjectType, OperationKind
 from repro.ledger.transactions import Transaction, TransactionType
 from repro.runtime.codec import (
     WIRE_VERSION,
-    WIRE_VERSION_BINARY,
     WireCodecError,
     decode_envelope,
+    decode_payload,
     encode_envelope,
     encode_payload,
 )
@@ -172,48 +174,11 @@ def assert_deep_equal(decoded, original) -> None:
     assert encode_payload(decoded) == encode_payload(original)
 
 
-# -- round trips -------------------------------------------------------------
-
-
-@settings(max_examples=200, deadline=None)
-@given(sender=small_ints, message=messages)
-def test_envelope_round_trip(sender, message):
-    decoded_sender, decoded = decode_envelope(encode_envelope(sender, message))
-    assert decoded_sender == sender
-    assert_deep_equal(decoded, message)
-    assert decoded == message
-
-
-@settings(max_examples=100, deadline=None)
-@given(sender=small_ints, message=messages, extras=json_metadata)
-def test_unknown_fields_are_tolerated(sender, message, extras):
-    """Newer peers may add fields; decoding must ignore them at every level."""
-    envelope = json.loads(encode_envelope(sender, message))
-    for index, (key, value) in enumerate(extras.items()):
-        envelope[f"x_envelope_{key}_{index}"] = value
-        if isinstance(envelope["p"], dict):
-            envelope["p"][f"x_payload_{key}_{index}"] = value
-    tampered = json.dumps(envelope, sort_keys=True).encode()
-    decoded_sender, decoded = decode_envelope(tampered)
-    assert decoded_sender == sender
-    assert_deep_equal(decoded, message)
-
-
-@settings(max_examples=50, deadline=None)
-@given(message=messages)
-def test_encoding_is_canonical(message):
-    """The same message always encodes to the same bytes."""
-    assert encode_envelope(7, message) == encode_envelope(7, message)
-
-
-# -- binary (v2) round trips --------------------------------------------------
-
 control_messages = st.one_of(
     st.builds(
         Hello,
         node_id=small_ints,
         role=st.sampled_from(["replica", "client"]),
-        wire_version=st.integers(min_value=1, max_value=3),
     ),
     st.builds(StatusRequest, nonce=small_ints),
     st.builds(
@@ -239,31 +204,66 @@ control_messages = st.one_of(
 all_messages = messages | control_messages
 
 
+# -- round trips -------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(sender=small_ints, message=all_messages)
+def test_envelope_round_trip(sender, message):
+    decoded_sender, decoded = decode_envelope(encode_envelope(sender, message))
+    assert (decoded_sender, decoded) == (sender, message)
+    assert_deep_equal(decoded, message)
+
+
+@settings(max_examples=200, deadline=None)
+@given(message=all_messages)
+def test_payload_round_trip(message):
+    """The JSON payload codec survives a trip through JSON text."""
+    tag, payload = encode_payload(message)
+    decoded = decode_payload(tag, json.loads(json.dumps(payload)))
+    assert decoded == message
+    assert_deep_equal(decoded, message)
+
+
+@settings(max_examples=100, deadline=None)
+@given(message=all_messages, extras=json_metadata)
+def test_unknown_fields_are_tolerated(message, extras):
+    """Payload decoders read the fields they know and ignore the rest."""
+    tag, payload = encode_payload(message)
+    tampered = json.loads(json.dumps(payload))
+    for index, (key, value) in enumerate(extras.items()):
+        tampered[f"x_payload_{key}_{index}"] = value
+    assert_deep_equal(decode_payload(tag, tampered), message)
+
+
+@settings(max_examples=50, deadline=None)
+@given(message=all_messages)
+def test_encoding_is_canonical(message):
+    """The same message always encodes to the same bytes."""
+    assert encode_envelope(7, message) == encode_envelope(7, message)
+
+
 @settings(max_examples=200, deadline=None)
 @given(sender=small_ints, message=all_messages)
 def test_binary_envelope_round_trip(sender, message):
-    """Every message type survives the struct-packed v2 envelope exactly."""
-    frame = encode_envelope(sender, message, version=WIRE_VERSION_BINARY)
+    """Every frame opens with the binary header (magic, wire version,
+    sender) and every message type survives the struct-packed envelope."""
+    from repro.runtime.codec import _BINARY_MAGIC, _HEADER
+
+    frame = encode_envelope(sender, message)
+    magic, version, _mode, header_sender = _HEADER.unpack_from(frame)
+    assert (magic, version, header_sender) == (_BINARY_MAGIC, WIRE_VERSION, sender)
     decoded_sender, decoded = decode_envelope(frame)
     assert decoded_sender == sender
     assert_deep_equal(decoded, message)
 
 
-@settings(max_examples=200, deadline=None)
-@given(sender=small_ints, message=all_messages)
-def test_binary_decodes_identically_to_json(sender, message):
-    """The two wire versions must decode to bit-identical values.
-
-    Both decoded objects are re-rendered through the canonical JSON payload
-    encoding and compared byte-for-byte, which covers every field the wire
-    carries (including nested blocks, transactions and operations).
-    """
-    _, from_json = decode_envelope(encode_envelope(sender, message))
-    _, from_binary = decode_envelope(
-        encode_envelope(sender, message, version=WIRE_VERSION_BINARY)
-    )
-    assert type(from_binary) is type(from_json)
-    assert encode_payload(from_binary) == encode_payload(from_json)
+@settings(max_examples=50, deadline=None)
+@given(message=all_messages)
+def test_binary_encoding_is_canonical(message):
+    """Re-encoding a decoded frame gives back the very same bytes."""
+    frame = encode_envelope(7, message)
+    assert encode_envelope(*decode_envelope(frame)) == frame
 
 
 def transactions_in(message) -> list[Transaction]:
@@ -282,16 +282,13 @@ def transactions_in(message) -> list[Transaction]:
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    message=messages,
-    version=st.sampled_from([WIRE_VERSION, WIRE_VERSION_BINARY]),
-)
-def test_decoded_transactions_are_dict_free_and_memoise(message, version):
+@given(message=messages)
+def test_decoded_transactions_are_dict_free_and_memoise(message):
     """A replica holds every decoded transaction until its block executes:
     the decoders must build the slotted objects the constructors build (no
     instance ``__dict__`` for the collector to track), with the digest and
     owned-decrement memos working on them."""
-    _, decoded = decode_envelope(encode_envelope(7, message, version=version))
+    _, decoded = decode_envelope(encode_envelope(7, message))
     for tx, original in zip(transactions_in(decoded), transactions_in(message)):
         assert not hasattr(tx, "__dict__")
         assert tx.signatures or tx.signatures is None  # no empty container
@@ -310,46 +307,24 @@ def test_decoded_transactions_are_dict_free_and_memoise(message, version):
         assert decrements == [op for op in tx.operations if op.is_owned_decrement]
 
 
-@settings(max_examples=50, deadline=None)
-@given(message=all_messages)
-def test_binary_encoding_is_canonical(message):
-    """The same message always encodes to the same v2 bytes."""
-    assert encode_envelope(7, message, version=WIRE_VERSION_BINARY) == encode_envelope(
-        7, message, version=WIRE_VERSION_BINARY
-    )
-
-
-@settings(max_examples=100, deadline=None)
-@given(message=messages)
-def test_binary_frames_are_smaller_for_consensus_messages(message):
-    """The point of v2: consensus frames must not be larger than JSON."""
-    json_frame = encode_envelope(7, message)
-    binary_frame = encode_envelope(7, message, version=WIRE_VERSION_BINARY)
-    assert len(binary_frame) <= len(json_frame)
-
-
 def test_binary_frame_with_unknown_type_id_is_an_error():
     from repro.runtime.codec import _HEADER
 
-    frame = bytearray(
-        encode_envelope(0, Prepare(instance=0, view=0, sender=0), version=2)
-    )
+    frame = bytearray(encode_envelope(0, Prepare(instance=0, view=0, sender=0)))
     frame[_HEADER.size] = 250  # the native-mode type id byte
     with pytest.raises(WireCodecError, match="unknown binary wire type"):
         decode_envelope(bytes(frame))
 
 
 def test_binary_frame_with_future_version_is_an_error():
-    frame = bytearray(
-        encode_envelope(0, Prepare(instance=0, view=0, sender=0), version=2)
-    )
+    frame = bytearray(encode_envelope(0, Prepare(instance=0, view=0, sender=0)))
     frame[1] = 3  # version byte
     with pytest.raises(WireCodecError, match="unsupported wire version"):
         decode_envelope(bytes(frame))
 
 
 def test_truncated_binary_frame_is_an_error():
-    frame = encode_envelope(0, Prepare(instance=0, view=0, sender=0), version=2)
+    frame = encode_envelope(0, Prepare(instance=0, view=0, sender=0))
     with pytest.raises(WireCodecError):
         decode_envelope(frame[: len(frame) - 3])
 
@@ -360,7 +335,7 @@ def test_empty_frame_is_an_error():
 
 
 def test_unregistered_type_travels_as_embedded_json():
-    """Types without a native binary layout still cross a v2 connection."""
+    """Types without a native binary layout still cross the wire."""
     from repro.runtime import codec
     from repro.runtime.codec import register_wire_type
 
@@ -372,7 +347,7 @@ def test_unregistered_type_travels_as_embedded_json():
         Probe, "test_probe", lambda m: {"value": m.value}, lambda d: Probe(d["value"])
     )
     try:
-        frame = encode_envelope(3, Probe(17), version=WIRE_VERSION_BINARY)
+        frame = encode_envelope(3, Probe(17))
         assert frame[0] == 0xB2
         sender, decoded = decode_envelope(frame)
         assert sender == 3 and isinstance(decoded, Probe) and decoded.value == 17
@@ -390,16 +365,16 @@ def test_unregistered_type_travels_as_embedded_json():
 
 
 def test_unknown_type_tag_is_an_error():
-    envelope = {"v": WIRE_VERSION, "t": "from_the_future", "s": 0, "p": {}}
     with pytest.raises(WireCodecError, match="unknown wire type"):
-        decode_envelope(json.dumps(envelope).encode())
+        decode_payload("from_the_future", {})
 
 
 def test_wrong_version_is_an_error():
-    envelope = json.loads(encode_envelope(0, Prepare(instance=0, view=0, sender=0)))
-    envelope["v"] = WIRE_VERSION + 1
-    with pytest.raises(WireCodecError, match="unsupported wire version"):
-        decode_envelope(json.dumps(envelope).encode())
+    frame = bytearray(encode_envelope(0, Prepare(instance=0, view=0, sender=0)))
+    for version in (0, 1, WIRE_VERSION + 1, 255):
+        frame[1] = version
+        with pytest.raises(WireCodecError, match="unsupported wire version"):
+            decode_envelope(bytes(frame))
 
 
 def test_unencodable_message_is_an_error():

@@ -194,8 +194,8 @@ def test_in_process_cluster_over_unix_domain_sockets():
                         break
                     await asyncio.sleep(0.1)
                 assert len({s.state_digest for s in statuses}) == 1
-            # The default wire version is v3 on both sides, so the burst of
-            # 40 requests and the batched replies must have coalesced.
+            # The burst of 40 requests and the batched replies must have
+            # coalesced into super-frames.
             assert sum(s.transport.super_frames_sent for s in servers) > 0
         finally:
             for server in servers:

@@ -19,7 +19,6 @@ from repro.runtime.framing import (
     FrameError,
     FrameReader,
     encode_frame,
-    read_frame,
 )
 from repro.workload.config import WorkloadConfig
 
@@ -27,19 +26,17 @@ PEERS = tuple(("127.0.0.1", 7000 + i) for i in range(4))
 
 
 def drain_frames(data: bytes) -> list[bytes | None]:
-    """Feed raw bytes through an asyncio StreamReader and read frames."""
+    """Feed raw bytes through a FrameReader; the frames, then ``None`` at EOF."""
 
     async def run():
         reader = asyncio.StreamReader()
         reader.feed_data(data)
         reader.feed_eof()
-        frames: list[bytes | None] = []
-        while True:
-            frame = await read_frame(reader)
-            frames.append(frame)
-            if frame is None:
-                break
-        return frames
+        frames = FrameReader(reader)
+        out: list[bytes | None] = []
+        while (batch := await frames.read_batch()) is not None:
+            out.extend(batch)
+        return out + [None]
 
     return asyncio.run(run())
 

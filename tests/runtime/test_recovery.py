@@ -405,33 +405,6 @@ def test_history_is_served_from_the_wal_once_memory_has_let_go_of_it(tmp_path):
     assert all(len(plog) == 0 for plog in core.plogs)
 
 
-def test_state_transfer_leaves_the_consensus_link_version_alone(tmp_path):
-    """The serving peer records a hello's version per node, not per
-    connection, so a recovery hello that advertised v1 used to downgrade the
-    serving replica's consensus link to the requester to canonical JSON for
-    good.  A fetch must leave ``version_for(requester)`` where it was."""
-    from repro.runtime.codec import DEFAULT_WIRE_VERSION
-
-    async def scenario():
-        configs = cluster_configs(tmp_path)
-        servers = [await start_server(config) for config in configs]
-        workload = EthereumStyleWorkload(WORKLOAD)
-        try:
-            async with OrthrusClient(
-                list(configs[0].peers), ClientConfig(timeout=3.0, retries=5)
-            ) as client:
-                assert_no_failures(await submit_all(client, workload, 8))
-            serving, requester = servers[0], servers[1]
-            before = serving.transport.version_for(requester.config.replica_id)
-            assert before == DEFAULT_WIRE_VERSION
-            await requester._fetch_from_peer(configs[0].peers[0])
-            assert serving.transport.version_for(requester.config.replica_id) == before
-        finally:
-            await stop_servers(servers)
-
-    asyncio.run(asyncio.wait_for(scenario(), timeout=60))
-
-
 def test_churn_cycles_return_full_strength_after_each(tmp_path):
     """Two crash/restart cycles on different replicas, back to back.
 

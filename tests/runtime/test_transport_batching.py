@@ -1,21 +1,16 @@
-"""Transport-level super-frame batching and interop with pinned peers.
+"""Transport-level super-frame batching.
 
-A v3↔v3 connection coalesces bursts into super-frames; a v3 node talking to
-a pinned v1 or v2 peer must keep sending plain sequential frames.  Straggler
-injection (``send_delay``) must survive coalescing: a frame is never written
-before its own due time, even when the writer batches around it.
+Every peer connection coalesces bursts into super-frames, while the hello
+that opens it stays a plain frame.  Straggler injection (``send_delay``)
+must survive coalescing: a frame is never written before its own due time,
+even when the writer batches around it.
 """
 
 from __future__ import annotations
 
 import asyncio
 
-from repro.runtime.codec import (
-    WIRE_VERSION,
-    WIRE_VERSION_BATCH,
-    WIRE_VERSION_BINARY,
-    decode_envelopes,
-)
+from repro.runtime.codec import decode_envelopes
 from repro.runtime.control import Hello, StatusRequest
 from repro.runtime.framing import FrameError, FrameReader, is_super_frame
 from repro.runtime.transport import AsyncioTransport
@@ -83,14 +78,10 @@ class _Collector:
         return out
 
 
-async def _transport_to(
-    collector: _Collector, *, peer_version: int, **kwargs
-) -> AsyncioTransport:
-    transport = AsyncioTransport(
+async def _transport_to(collector: _Collector, **kwargs) -> AsyncioTransport:
+    return AsyncioTransport(
         0, {0: ("127.0.0.1", 1), 1: ("127.0.0.1", collector.port)}, **kwargs
     )
-    transport.note_peer_version(1, peer_version)
-    return transport
 
 
 class TestSuperFrameCoalescing:
@@ -98,9 +89,7 @@ class TestSuperFrameCoalescing:
         async def scenario():
             collector = _Collector()
             await collector.start()
-            transport = await _transport_to(
-                collector, peer_version=WIRE_VERSION_BATCH
-            )
+            transport = await _transport_to(collector)
             for nonce in range(10):
                 transport.send(1, StatusRequest(nonce=nonce))
             # hello + the batch (all 10 were queued before the dial finished)
@@ -121,60 +110,20 @@ class TestSuperFrameCoalescing:
 
         run(scenario())
 
-    def test_pinned_v2_peer_never_sees_super_frames(self):
+    def test_hello_is_a_plain_binary_frame(self):
         async def scenario():
             collector = _Collector()
             await collector.start()
-            transport = await _transport_to(
-                collector, peer_version=WIRE_VERSION_BINARY
-            )
-            for nonce in range(10):
-                transport.send(1, StatusRequest(nonce=nonce))
-            await collector.wait_for(11)  # hello + 10 individual frames
-            await transport.close()
-            await collector.close()
-
-            assert transport.super_frames_sent == 0
-            assert not any(is_super_frame(p) for p in collector.payloads())
-            # The 10 requests still all arrive, as plain v2 envelopes.
-            v2 = [p for p in collector.payloads() if p and p[0] == 0xB2]
-            assert len(v2) == 10
-
-        run(scenario())
-
-    def test_pinned_v1_peer_gets_sequential_json_frames(self):
-        async def scenario():
-            collector = _Collector()
-            await collector.start()
-            transport = await _transport_to(collector, peer_version=WIRE_VERSION)
-            for nonce in range(5):
-                transport.send(1, StatusRequest(nonce=nonce))
-            await collector.wait_for(6)  # hello + 5
-            await transport.close()
-            await collector.close()
-
-            assert transport.super_frames_sent == 0
-            assert all(p[0:1] == b"{" for p in collector.payloads())
-
-        run(scenario())
-
-    def test_hello_itself_is_always_plain_v1(self):
-        async def scenario():
-            collector = _Collector()
-            await collector.start()
-            transport = await _transport_to(
-                collector, peer_version=WIRE_VERSION_BATCH
-            )
+            transport = await _transport_to(collector)
             transport.send(1, StatusRequest(nonce=1))
             await collector.wait_for(2)
             await transport.close()
             await collector.close()
 
             first = collector.payloads()[0]
-            assert first[0:1] == b"{"
+            assert first[0] == 0xB2 and not is_super_frame(first)
             [(_, hello)] = decode_envelopes(first)
-            assert isinstance(hello, Hello)
-            assert hello.wire_version == WIRE_VERSION_BATCH
+            assert hello == Hello(0, "replica")
 
         run(scenario())
 
@@ -189,9 +138,7 @@ class TestSendDelayDueTimes:
             delay = 0.25
             collector = _Collector()
             await collector.start()
-            transport = await _transport_to(
-                collector, peer_version=WIRE_VERSION_BATCH, send_delay=delay
-            )
+            transport = await _transport_to(collector, send_delay=delay)
             loop = asyncio.get_running_loop()
             queued_first = loop.time()
             transport.send(1, StatusRequest(nonce=1))
@@ -221,9 +168,7 @@ class TestSendDelayDueTimes:
             delay = 0.15
             collector = _Collector()
             await collector.start()
-            transport = await _transport_to(
-                collector, peer_version=WIRE_VERSION_BATCH, send_delay=delay
-            )
+            transport = await _transport_to(collector, send_delay=delay)
             queued = asyncio.get_running_loop().time()
             for nonce in range(6):
                 transport.send(1, StatusRequest(nonce=nonce))
@@ -236,31 +181,5 @@ class TestSendDelayDueTimes:
             for arrival, _, message in collector.messages():
                 if isinstance(message, StatusRequest):
                     assert arrival >= queued + delay - 0.01
-
-        run(scenario())
-
-
-class TestBatchNegotiation:
-    def test_version_for_min_rule_covers_v3(self):
-        async def scenario():
-            transport = AsyncioTransport(
-                0, {1: ("127.0.0.1", 1)}, wire_version=WIRE_VERSION_BATCH
-            )
-            assert transport.version_for(1) == WIRE_VERSION  # no hello yet
-            for advertised, expected in ((1, 1), (2, 2), (3, 3), (9, 3)):
-                transport.note_peer_version(1, advertised)
-                assert transport.version_for(1) == expected
-            await transport.close()
-
-        run(scenario())
-
-    def test_v2_node_clamps_a_v3_peer_down(self):
-        async def scenario():
-            transport = AsyncioTransport(
-                0, {1: ("127.0.0.1", 1)}, wire_version=WIRE_VERSION_BINARY
-            )
-            transport.note_peer_version(1, WIRE_VERSION_BATCH)
-            assert transport.version_for(1) == WIRE_VERSION_BINARY
-            await transport.close()
 
         run(scenario())

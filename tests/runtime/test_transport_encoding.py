@@ -1,19 +1,15 @@
-"""AsyncioTransport encode accounting and wire-version negotiation.
+"""AsyncioTransport encode accounting.
 
 The transport must not pay for serialisation when nothing will be sent
 (closed transport, filtered message, unknown destination, empty broadcast),
-must encode a broadcast once per negotiated version rather than once per
-peer, and must pick ``min(own, advertised)`` per destination.
+and must encode a broadcast once rather than once per peer.
 """
 
 from __future__ import annotations
 
 import asyncio
 
-import pytest
-
-from repro.runtime.codec import WIRE_VERSION, WIRE_VERSION_BINARY, decode_envelope
-from repro.runtime.control import StatusRequest
+from repro.runtime.codec import decode_envelope
 from repro.runtime.transport import AsyncioTransport
 from repro.sb.pbft.messages import Prepare
 
@@ -37,24 +33,12 @@ class TestEncodeCounting:
     def test_broadcast_encodes_once_for_uniform_versions(self):
         async def scenario():
             transport = await _make_transport()
-            for peer in (1, 2, 3):
-                transport.note_peer_version(peer, WIRE_VERSION_BINARY)
             transport.broadcast(_message())
             assert transport.frames_encoded == 1
             # Three per-peer queues were still filled from the one encoding.
-            assert sum(q.qsize() for q in transport._queues.values()) == 3
-            await transport.close()
-
-        run(scenario())
-
-    def test_broadcast_encodes_once_per_distinct_version(self):
-        async def scenario():
-            transport = await _make_transport()
-            transport.note_peer_version(1, WIRE_VERSION_BINARY)
-            transport.note_peer_version(2, WIRE_VERSION)
-            # Peer 3 has not said hello: conservative JSON, shared with peer 2.
-            transport.broadcast(_message())
-            assert transport.frames_encoded == 2
+            frames = [q.get_nowait()[1] for q in transport._queues.values()]
+            assert len(frames) == 3 and frames[0] is frames[1] is frames[2]
+            assert decode_envelope(frames[0]) == (0, _message())
             await transport.close()
 
         run(scenario())
@@ -97,51 +81,5 @@ class TestEncodeCounting:
             transport.broadcast(_message())  # only peer is self
             assert transport.frames_encoded == 0
             await transport.close()
-
-        run(scenario())
-
-
-class TestVersionNegotiation:
-    def test_defaults_to_json_until_hello_arrives(self):
-        async def scenario():
-            transport = await _make_transport()
-            assert transport.version_for(1) == WIRE_VERSION
-            transport.note_peer_version(1, WIRE_VERSION_BINARY)
-            assert transport.version_for(1) == WIRE_VERSION_BINARY
-            await transport.close()
-
-        run(scenario())
-
-    def test_never_exceeds_own_version(self):
-        async def scenario():
-            transport = await _make_transport(wire_version=WIRE_VERSION)
-            transport.note_peer_version(1, WIRE_VERSION_BINARY)
-            assert transport.version_for(1) == WIRE_VERSION
-            await transport.close()
-
-        run(scenario())
-
-    def test_clamps_down_for_v1_peer(self):
-        async def scenario():
-            transport = await _make_transport(wire_version=WIRE_VERSION_BINARY)
-            transport.note_peer_version(1, 1)
-            transport.note_peer_version(2, 2)
-            transport.send(1, StatusRequest(nonce=1))
-            transport.send(2, StatusRequest(nonce=2))
-            frame_v1 = transport._queues[1].get_nowait()[1]
-            frame_v2 = transport._queues[2].get_nowait()[1]
-            assert frame_v1[0:1] == b"{"
-            assert frame_v2[0] == 0xB2
-            # Both decode to the same request regardless of version.
-            assert decode_envelope(frame_v1)[1].nonce == 1
-            assert decode_envelope(frame_v2)[1].nonce == 2
-            await transport.close()
-
-        run(scenario())
-
-    def test_rejects_unknown_wire_version(self):
-        async def scenario():
-            with pytest.raises(ValueError, match="unsupported wire version"):
-                await _make_transport(wire_version=9)
 
         run(scenario())

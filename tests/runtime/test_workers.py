@@ -26,7 +26,6 @@ from repro.runtime.workers import (
     WorkerPool,
     decode_payloads,
     digest_batch,
-    encode_envelopes,
     make_worker_pool,
     verify_batch,
 )
@@ -85,11 +84,8 @@ def _messages():
     ]
 
 
-def _payloads(version: int = 2) -> list[bytes]:
-    return [
-        encode_envelope(sender, message, version=version)
-        for sender, message in enumerate(_messages())
-    ]
+def _payloads() -> list[bytes]:
+    return [encode_envelope(sender, message) for sender, message in enumerate(_messages())]
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +97,7 @@ def pool():
 
 class TestPoolMatchesInline:
     def test_decode(self, pool):
-        payloads = _payloads() + [encode_super_frame(_payloads(version=1))]
+        payloads = _payloads() + [encode_super_frame(_payloads())]
 
         async def scenario():
             return await pool.decode(payloads), await InlineWorkers().decode(payloads)
@@ -112,19 +108,6 @@ class TestPoolMatchesInline:
             assert p_sender == i_sender
             assert type(p_message) is type(i_message)
             assert encode_envelope(0, p_message) == encode_envelope(0, i_message)
-
-    def test_encode(self, pool):
-        jobs = [
-            (sender, message, version)
-            for version in (1, 2)
-            for sender, message in enumerate(_messages())
-        ]
-
-        async def scenario():
-            return await pool.encode(jobs), await InlineWorkers().encode(jobs)
-
-        pooled, inline = run(scenario())
-        assert pooled == inline == encode_envelopes(jobs)
 
     def test_digests(self, pool):
         values = [{"a": 1}, [1, 2, 3], "x", 7]
