@@ -14,8 +14,9 @@ Environment variables:
 * ``REPRO_BENCH_SCALE`` — run size: ``smoke`` (minutes-long sanity runs),
   ``ci`` (the default; full replica grid with laptop-sized windows) or
   ``paper`` (the full windows reported in EXPERIMENTS.md).
-* ``REPRO_BENCH_JOBS`` — worker processes for grid cells (default ``1``;
-  parallel runs produce results identical to serial runs).
+* ``REPRO_BENCH_JOBS`` — worker processes for grid cells (default: two,
+  or one on a single-core host; parallel runs produce results identical to
+  serial runs, so the tables do not depend on it).
 * ``REPRO_BENCH_CACHE_DIR`` — result-cache directory (defaults to
   ``benchmarks/results/cache``; set to an empty string to disable caching).
   Cached cells carry a fingerprint of the ``repro`` sources, so editing
@@ -55,7 +56,7 @@ def engine(results_dir) -> ExperimentEngine:
     cache_dir = os.environ.get(
         "REPRO_BENCH_CACHE_DIR", str(results_dir / "cache")
     )
-    jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
+    jobs = int(os.environ.get("REPRO_BENCH_JOBS", min(2, os.cpu_count() or 1)))
     instance = ExperimentEngine(cache_dir=cache_dir or None, jobs=jobs)
     yield instance
     print(f"\n[experiment engine] {engine_summary(instance)}")

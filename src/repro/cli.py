@@ -12,7 +12,7 @@ Examples::
 Live cluster (real asyncio TCP processes, not the simulator)::
 
     python -m repro.cli cluster --replicas 4 --instances 2 --duration 10
-    python -m repro.cli serve --replica-id 0 --peers 127.0.0.1:7000,...
+    python -m repro.cli serve --config '{"replica_id": 0, "peers": ["127.0.0.1:7000", ...]}'
     python -m repro.cli loadgen --peers 127.0.0.1:7000,... --transactions 1000
 
 Observability (docs/observability.md)::
@@ -47,6 +47,7 @@ import argparse
 import asyncio
 import os
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from repro.analysis.comparison import (
@@ -57,6 +58,7 @@ from repro.analysis.comparison import (
     summarize,
     throughput_sparkline,
 )
+from repro.core.config import DEFAULT_EPOCH_LENGTH
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.engine import ExperimentEngine, FaultSpec, ScenarioSpec
 from repro.experiments.registry import expand_grid, grid, grid_names
@@ -93,29 +95,77 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
-    """Observability flags shared by serve/cluster/chaos."""
+def _add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
+    """Flags shared by ``cluster`` and ``chaos``: one :class:`ClusterSpec`."""
+    parser.add_argument("--replicas", type=_positive_int, default=4)
+    parser.add_argument("--instances", type=int, default=None)
+    parser.add_argument("--protocol", default="orthrus", choices=available_protocols())
+    parser.add_argument("--base-port", type=int, default=None)
+    parser.add_argument("--batch-size", type=int, default=64)
+    parser.add_argument("--batch-interval", type=float, default=0.05)
+    parser.add_argument("--view-change-timeout", type=float, default=10.0)
+    parser.add_argument("--accounts", type=int, default=1024)
+    parser.add_argument("--workload-seed", type=int, default=42)
     parser.add_argument(
-        "--no-obs",
+        "--zipf-s",
+        type=float,
+        default=DEFAULT_ZIPF_EXPONENT,
+        help="Zipf skew of the genesis/workload account universe",
+    )
+    parser.add_argument(
+        "--fault-plan",
+        default=None,
+        help=(
+            "JSON fault plan or @file (chaos: in place of its fault flags): "
+            '{"stragglers": {"1": 10}, "crashes": {"0": 5}, '
+            '"restarts": {"0": 15}, "churn": [[5, 0, 3]], '
+            '"partitions": [[5, [[3]], 3]], "wan": "wan", '
+            '"undetectable_faults": 1}'
+        ),
+    )
+    parser.add_argument(
+        "--wan",
+        default=None,
+        metavar="MODEL|MATRIX",
+        help=(
+            "WAN emulation for every replica — 'wan'/'lan', a JSON square "
+            "delay matrix in seconds, or @file.json"
+        ),
+    )
+    parser.add_argument(
+        "--durability",
         action="store_true",
-        help="disable the metrics registry, tracing and snapshots entirely",
+        help=(
+            "give every replica a WAL + snapshots under its run directory so "
+            "crashed replicas rejoin at full strength after a restart"
+        ),
     )
     parser.add_argument(
-        "--log-level",
-        default="info",
-        choices=["debug", "info", "warning", "error"],
-        help="stderr logging threshold (default: info)",
+        "--epoch-length",
+        type=_positive_int,
+        default=DEFAULT_EPOCH_LENGTH,
+        metavar="BLOCKS",
+        help=f"blocks per epoch (checkpoint/snapshot cadence; default: {DEFAULT_EPOCH_LENGTH})",
     )
     parser.add_argument(
-        "--log-format",
-        default="text",
-        choices=["text", "json"],
-        help="stderr log rendering: text (default) or json (one object per line)",
+        "--snapshot-every-epochs",
+        type=_positive_int,
+        default=1,
+        metavar="N",
+        help="cut a snapshot at most every N completed epochs (default: 1)",
     )
-
-
-def _add_cluster_obs_arguments(parser: argparse.ArgumentParser) -> None:
-    """Run-directory observability flags shared by cluster/chaos."""
+    parser.add_argument(
+        "--transport",
+        default="tcp",
+        choices=["tcp", "uds"],
+        help="peer sockets: tcp (default) or uds (Unix domain, localhost only)",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="crypto/codec worker processes per replica (default: 0, inline)",
+    )
     parser.add_argument(
         "--run-dir",
         default=None,
@@ -143,47 +193,22 @@ def _add_cluster_obs_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="SECONDS",
         help="seconds between per-replica metrics snapshots (default: 1.0)",
     )
-    _add_obs_arguments(parser)
-
-
-def _add_durability_arguments(parser: argparse.ArgumentParser) -> None:
-    """Durability flags shared by cluster/chaos."""
     parser.add_argument(
-        "--durability",
+        "--no-obs",
         action="store_true",
-        help=(
-            "give every replica a WAL + snapshots under its run directory so "
-            "crashed replicas rejoin at full strength after a restart"
-        ),
+        help="disable the metrics registry, tracing and snapshots entirely",
     )
     parser.add_argument(
-        "--epoch-length",
-        type=_positive_int,
-        default=1_000_000,
-        metavar="BLOCKS",
-        help="blocks per epoch (checkpoint/snapshot cadence; default: 1000000)",
+        "--log-level",
+        default="info",
+        choices=["debug", "info", "warning", "error"],
+        help="replica stderr logging threshold (default: info)",
     )
     parser.add_argument(
-        "--snapshot-every-epochs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="cut a snapshot at most every N completed epochs (default: 1)",
-    )
-
-
-def _add_cluster_scale_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--transport",
-        default="tcp",
-        choices=["tcp", "uds"],
-        help="peer sockets: tcp (default) or uds (Unix domain, localhost only)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="crypto/codec worker processes per replica (default: 0, inline)",
+        "--log-format",
+        default="text",
+        choices=["text", "json"],
+        help="replica stderr logs: text (default) or json (one object per line)",
     )
 
 
@@ -286,184 +311,36 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_parser = subparsers.add_parser(
         "serve", help="run one live replica server (asyncio TCP)"
     )
-    serve_parser.add_argument("--replica-id", type=int, required=True)
     serve_parser.add_argument(
-        "--peers",
+        "--config",
         required=True,
-        help="comma-separated host:port listen endpoints, one per replica, in id order",
-    )
-    serve_parser.add_argument(
-        "--protocol", default="orthrus", choices=available_protocols()
-    )
-    serve_parser.add_argument("--instances", type=int, default=None)
-    serve_parser.add_argument("--batch-size", type=int, default=64)
-    serve_parser.add_argument("--batch-interval", type=float, default=0.05)
-    serve_parser.add_argument(
-        "--epoch-length",
-        type=_positive_int,
-        default=1_000_000,
-        metavar="BLOCKS",
-        help="blocks per epoch (checkpoint/snapshot cadence; default: 1000000)",
-    )
-    serve_parser.add_argument("--view-change-timeout", type=float, default=10.0)
-    serve_parser.add_argument("--accounts", type=int, default=1024)
-    serve_parser.add_argument("--workload-seed", type=int, default=42)
-    serve_parser.add_argument(
-        "--zipf-s",
-        type=float,
-        default=DEFAULT_ZIPF_EXPONENT,
-        help="Zipf skew of the genesis/workload account universe",
-    )
-    serve_parser.add_argument(
-        "--send-delay",
-        type=float,
-        default=0.0,
-        help="chaos: delay every outbound replica frame by SECONDS (straggler)",
-    )
-    serve_parser.add_argument(
-        "--wan",
-        default=None,
-        metavar="MODEL|MATRIX",
+        metavar="JSON|@FILE",
         help=(
-            "chaos: WAN emulation — 'wan'/'lan', a JSON square delay matrix "
-            "in seconds, or @file.json (per-destination due-time delays)"
+            "the replica's whole configuration: the JSON of "
+            "dataclasses.asdict(ReplicaRuntimeConfig), or @file holding it; "
+            'at least {"replica_id": 0, "peers": ["host0:7000", ...]}'
         ),
     )
-    serve_parser.add_argument(
-        "--byzantine-abstain",
-        action="store_true",
-        help="chaos: drop consensus messages for instances this replica does not lead",
-    )
-    serve_parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="crypto/codec worker processes (default: 0, decode inline)",
-    )
-    serve_parser.add_argument(
-        "--trace-file",
-        default=None,
-        metavar="PATH",
-        help="JSONL file sampled transaction span events are appended to",
-    )
-    serve_parser.add_argument(
-        "--trace-sample",
-        type=float,
-        default=1.0,
-        metavar="RATE",
-        help="fraction of transactions traced (deterministic by tx id)",
-    )
-    serve_parser.add_argument(
-        "--metrics-file",
-        default=None,
-        metavar="PATH",
-        help="JSONL file periodic metrics-registry snapshots are appended to",
-    )
-    serve_parser.add_argument(
-        "--metrics-interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="seconds between metrics snapshots (default: 1.0)",
-    )
-    serve_parser.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="PATH",
-        help=(
-            "directory for this replica's durable state (wal.jsonl, "
-            "snapshot-*.json); enables WAL + snapshots + crash recovery"
-        ),
-    )
-    serve_parser.add_argument(
-        "--recovery",
-        default="snapshot",
-        choices=["snapshot", "genesis"],
-        help=(
-            "what a restart does with durable state: recover from the newest "
-            "snapshot + WAL (default) or wipe it and rejoin from genesis"
-        ),
-    )
-    serve_parser.add_argument(
-        "--snapshot-every-epochs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="cut a snapshot at most every N completed epochs (default: 1)",
-    )
-    _add_obs_arguments(serve_parser)
 
     cluster_parser = subparsers.add_parser(
         "cluster", help="spawn and supervise a local live cluster"
     )
-    cluster_parser.add_argument("--replicas", type=_positive_int, default=4)
-    cluster_parser.add_argument("--instances", type=int, default=None)
-    cluster_parser.add_argument(
-        "--protocol", default="orthrus", choices=available_protocols()
-    )
-    cluster_parser.add_argument("--base-port", type=int, default=None)
-    cluster_parser.add_argument("--batch-size", type=int, default=64)
-    cluster_parser.add_argument("--batch-interval", type=float, default=0.05)
-    cluster_parser.add_argument("--view-change-timeout", type=float, default=10.0)
-    cluster_parser.add_argument("--accounts", type=int, default=1024)
-    cluster_parser.add_argument("--workload-seed", type=int, default=42)
-    cluster_parser.add_argument(
-        "--zipf-s",
-        type=float,
-        default=DEFAULT_ZIPF_EXPONENT,
-        help="Zipf skew of the genesis/workload account universe",
-    )
+    _add_cluster_arguments(cluster_parser)
     cluster_parser.add_argument(
         "--duration",
         type=float,
         default=None,
         help="seconds to run before shutting down (default: until Ctrl-C)",
     )
-    cluster_parser.add_argument(
-        "--fault-plan",
-        default=None,
-        help=(
-            "JSON fault plan or @file: "
-            '{"stragglers": {"1": 10}, "crashes": {"0": 5}, '
-            '"restarts": {"0": 15}, "churn": [[5, 0, 3]], '
-            '"partitions": [[5, [[3]], 3]], "wan": "wan", '
-            '"undetectable_faults": 1}'
-        ),
-    )
-    cluster_parser.add_argument(
-        "--wan",
-        default=None,
-        metavar="MODEL|MATRIX",
-        help=(
-            "WAN emulation for every replica — 'wan'/'lan', a JSON square "
-            "delay matrix in seconds, or @file.json"
-        ),
-    )
-    _add_durability_arguments(cluster_parser)
-    _add_cluster_scale_arguments(cluster_parser)
-    _add_cluster_obs_arguments(cluster_parser)
 
     chaos_parser = subparsers.add_parser(
         "chaos",
         help="run a fault-injected load experiment against a fresh live cluster",
     )
-    chaos_parser.add_argument("--replicas", type=_positive_int, default=4)
-    chaos_parser.add_argument("--instances", type=int, default=None)
-    chaos_parser.add_argument(
-        "--protocol", default="orthrus", choices=available_protocols()
-    )
-    chaos_parser.add_argument("--base-port", type=int, default=None)
-    chaos_parser.add_argument("--batch-size", type=int, default=64)
-    chaos_parser.add_argument("--batch-interval", type=float, default=0.02)
-    chaos_parser.add_argument("--view-change-timeout", type=float, default=2.0)
-    chaos_parser.add_argument("--accounts", type=int, default=1024)
-    chaos_parser.add_argument("--workload-seed", type=int, default=42)
-    chaos_parser.add_argument(
-        "--zipf-s",
-        type=float,
-        default=DEFAULT_ZIPF_EXPONENT,
-        help="Zipf skew of the workload (sweep to vary contention)",
-    )
+    _add_cluster_arguments(chaos_parser)
+    # Fault-injected runs want fast proposals and a detector that fires
+    # within the load window.
+    chaos_parser.set_defaults(batch_interval=0.02, view_change_timeout=2.0)
     chaos_parser.add_argument("--transactions", type=_positive_int, default=1000)
     chaos_parser.add_argument("--mode", choices=["closed", "open"], default="closed")
     chaos_parser.add_argument("--concurrency", type=_positive_int, default=32)
@@ -514,15 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     chaos_parser.add_argument(
-        "--wan",
-        default=None,
-        metavar="MODEL|MATRIX",
-        help=(
-            "WAN emulation for every replica — 'wan'/'lan', a JSON square "
-            "delay matrix in seconds, or @file.json"
-        ),
-    )
-    chaos_parser.add_argument(
         "--expect-stall",
         action="store_true",
         help=(
@@ -537,14 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="COUNT",
         help="replicas that abstain from instances they do not lead (Fig. 8)",
     )
-    chaos_parser.add_argument(
-        "--fault-plan",
-        default=None,
-        help="JSON fault plan or @file (overrides the individual fault flags)",
-    )
-    _add_durability_arguments(chaos_parser)
-    _add_cluster_scale_arguments(chaos_parser)
-    _add_cluster_obs_arguments(chaos_parser)
 
     loadgen_parser = subparsers.add_parser(
         "loadgen", help="drive a live cluster with synthetic load"
@@ -815,83 +675,36 @@ def _parse_peers(text: str) -> list[tuple[str, int]]:
     return [parse_endpoint(entry.strip()) for entry in text.split(",") if entry.strip()]
 
 
+def _serve_config(args: argparse.Namespace):
+    """The :class:`ReplicaRuntimeConfig` ``repro serve`` runs with."""
+    from repro.runtime.config import ReplicaRuntimeConfig, load_json_or_file
+
+    return ReplicaRuntimeConfig.from_dict(
+        load_json_or_file(args.config, what="replica config")
+    )
+
+
 def _command_serve(args: argparse.Namespace) -> int:
     from repro.obs.logging import setup_logging
-    from repro.runtime.config import ReplicaRuntimeConfig
     from repro.runtime.server import run_server
     from repro.runtime.transport import install_uvloop
 
+    config = _serve_config(args)
     setup_logging(
-        args.log_level,
-        args.log_format,
-        context={"replica": args.replica_id},
-    )
-    peers = _parse_peers(args.peers)
-    config = ReplicaRuntimeConfig(
-        replica_id=args.replica_id,
-        peers=tuple(peers),
-        protocol=args.protocol,
-        num_instances=args.instances,
-        batch_size=args.batch_size,
-        batch_interval=args.batch_interval,
-        epoch_length=args.epoch_length,
-        view_change_timeout=args.view_change_timeout,
-        workload=WorkloadConfig(
-            num_accounts=args.accounts,
-            seed=args.workload_seed,
-            zipf_exponent=args.zipf_s,
-        ),
-        send_delay=args.send_delay,
-        wan=args.wan,
-        byzantine_abstain=args.byzantine_abstain,
-        workers=args.workers,
-        obs_enabled=not args.no_obs,
-        trace_file=args.trace_file,
-        trace_sample=args.trace_sample,
-        metrics_file=args.metrics_file,
-        metrics_interval=args.metrics_interval,
-        log_level=args.log_level,
-        log_format=args.log_format,
-        run_dir=args.run_dir,
-        recovery=args.recovery,
-        snapshot_every_epochs=args.snapshot_every_epochs,
+        config.log_level,
+        config.log_format,
+        context={"replica": config.replica_id},
     )
     install_uvloop()
     asyncio.run(run_server(config))
     return 0
 
 
-def _print_cluster_statuses(statuses) -> None:
-    digests = {status.state_digest for status in statuses}
-    for status in sorted(statuses, key=lambda s: s.replica):
-        print(
-            f"replica {status.replica}: committed={status.committed} "
-            f"rejected={status.rejected} view_changes={status.view_changes} "
-            f"digest={status.state_digest[:16]}..."
-        )
-    agreement = "yes" if len(digests) <= 1 else "NO — replicas diverged!"
-    print(f"state digests agree: {agreement}")
+def _cluster_spec_from_args(args: argparse.Namespace, faults):
+    """The :class:`ClusterSpec` ``cluster`` and ``chaos`` run under ``faults``."""
+    from repro.runtime.cluster import ClusterSpec
 
-
-def _command_cluster(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from repro.cluster.faults import FaultPlan
-    from repro.runtime.chaos import ChaosController, fault_plan_from_json
-    from repro.runtime.client import ClientConfig, OrthrusClient
-    from repro.runtime.cluster import ClusterSpec, LocalCluster
-    from repro.runtime.config import format_endpoint
-
-    if args.fault_plan is not None:
-        faults = fault_plan_from_json(
-            args.fault_plan, default_view_change_timeout=args.view_change_timeout
-        )
-    else:
-        faults = FaultPlan.none()
-        faults.view_change_timeout = args.view_change_timeout
-    if args.wan is not None:
-        faults.wan = args.wan
-    spec = ClusterSpec(
+    return ClusterSpec(
         num_replicas=args.replicas,
         num_instances=args.instances,
         protocol=args.protocol,
@@ -917,6 +730,39 @@ def _command_cluster(args: argparse.Namespace) -> int:
         log_level=args.log_level,
         log_format=args.log_format,
     )
+
+
+def _print_cluster_statuses(statuses) -> None:
+    digests = {status.state_digest for status in statuses}
+    for status in sorted(statuses, key=lambda s: s.replica):
+        print(
+            f"replica {status.replica}: committed={status.committed} "
+            f"rejected={status.rejected} view_changes={status.view_changes} "
+            f"digest={status.state_digest[:16]}..."
+        )
+    agreement = "yes" if len(digests) <= 1 else "NO — replicas diverged!"
+    print(f"state digests agree: {agreement}")
+
+
+def _command_cluster(args: argparse.Namespace) -> int:
+    import time as _time
+
+    from repro.cluster.faults import FaultPlan
+    from repro.runtime.chaos import ChaosController, fault_plan_from_json
+    from repro.runtime.client import ClientConfig, OrthrusClient
+    from repro.runtime.cluster import LocalCluster
+    from repro.runtime.config import format_endpoint
+
+    if args.fault_plan is not None:
+        faults = fault_plan_from_json(
+            args.fault_plan, default_view_change_timeout=args.view_change_timeout
+        )
+    else:
+        faults = FaultPlan.none()
+        faults.view_change_timeout = args.view_change_timeout
+    if args.wan is not None:
+        faults.wan = args.wan
+    spec = _cluster_spec_from_args(args, faults)
     cluster = LocalCluster(spec)
     cluster.start()
     controller = ChaosController(cluster, faults)
@@ -1055,7 +901,6 @@ def _command_chaos(args: argparse.Namespace) -> int:
         validate_fault_plan,
     )
     from repro.runtime.client import ClientConfig
-    from repro.runtime.cluster import ClusterSpec
     from repro.runtime.loadgen import LoadGenConfig
 
     if args.fault_plan is not None:
@@ -1082,31 +927,7 @@ def _command_chaos(args: argparse.Namespace) -> int:
             "the cut cannot be caught up after the heal",
             file=sys.stderr,
         )
-    spec = ClusterSpec(
-        num_replicas=args.replicas,
-        num_instances=args.instances,
-        protocol=args.protocol,
-        base_port=args.base_port,
-        batch_size=args.batch_size,
-        batch_interval=args.batch_interval,
-        view_change_timeout=plan.view_change_timeout,
-        workload=WorkloadConfig(
-            num_accounts=args.accounts,
-            seed=args.workload_seed,
-            zipf_exponent=args.zipf_s,
-        ),
-        faults=plan,
-        transport=args.transport,
-        workers=args.workers,
-        obs_enabled=not args.no_obs,
-        run_dir=args.run_dir,
-        durability=args.durability,
-        snapshot_every_epochs=args.snapshot_every_epochs,
-        trace_sample=args.trace_sample,
-        metrics_interval=args.metrics_interval,
-        log_level=args.log_level,
-        log_format=args.log_format,
-    )
+    spec = _cluster_spec_from_args(args, plan)
     # Submissions routed through a crashed leader's instance must outlive the
     # view change, so the client's patience scales with the detector timeout.
     timeout = (
@@ -1119,12 +940,7 @@ def _command_chaos(args: argparse.Namespace) -> int:
         mode=args.mode,
         concurrency=args.concurrency,
         rate_tps=args.rate,
-        workload=WorkloadConfig(
-            num_accounts=args.accounts,
-            seed=args.workload_seed,
-            payment_fraction=args.payment_fraction,
-            zipf_exponent=args.zipf_s,
-        ),
+        workload=replace(spec.workload, payment_fraction=args.payment_fraction),
         client=ClientConfig(
             client_id=1000,
             timeout=timeout,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from repro.cluster.client import ClientNode
 from repro.cluster.faults import FaultPlan
 from repro.cluster.replica import MultiBFTReplica
-from repro.core.config import CoreConfig
+from repro.core.config import DEFAULT_EPOCH_LENGTH, CoreConfig
 from repro.errors import ExperimentError
 from repro.ledger.transactions import Transaction
 from repro.metrics.summary import MetricsCollector, RunMetrics
@@ -36,7 +36,7 @@ class MessageClusterConfig:
     environment: str = "lan"
     batch_size: int = 16
     batch_interval: float = 0.05
-    epoch_length: int = 1_000_000
+    epoch_length: int = DEFAULT_EPOCH_LENGTH
     view_change_timeout: float = 10.0
     seed: int = 7
     workload: WorkloadConfig = field(default_factory=lambda: WorkloadConfig(num_accounts=64))

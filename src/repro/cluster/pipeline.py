@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.faults import FaultPlan
-from repro.core.config import CoreConfig
+from repro.core.config import DEFAULT_EPOCH_LENGTH, CoreConfig
 from repro.core.interfaces import ConsensusCore
 from repro.core.outcomes import ConfirmationPath, TxOutcome
 from repro.core.partition import TransactionPartitioner
@@ -138,7 +138,7 @@ class PipelineCluster:
             num_instances=config.num_instances,
             batch_size=config.samples_per_block,
             batch_timeout=config.batch_timeout,
-            epoch_length=config.epoch_blocks or 1_000_000,
+            epoch_length=config.epoch_blocks or DEFAULT_EPOCH_LENGTH,
         )
         self.core: ConsensusCore = build_core(config.protocol, core_config)
         workload_config = replace(config.workload, payload_size=config.payload_size)
@@ -269,7 +269,7 @@ class PipelineCluster:
             transactions=batch,
             state=self.core.delivered_state(),
             proposer=state.leader,
-            epoch=state.next_sn // (self.config.epoch_blocks or 1_000_000),
+            epoch=state.next_sn // (self.config.epoch_blocks or DEFAULT_EPOCH_LENGTH),
             rank=rank,
         )
         state.next_sn += 1

@@ -9,6 +9,10 @@ from repro.errors import ConfigurationError
 #: Batch size used throughout the paper's evaluation.
 DEFAULT_BATCH_SIZE = 4096
 
+#: Blocks per instance per epoch of a simulated cluster or live replica when
+#: none is configured: longer than any run, so no checkpoint ever fires.
+DEFAULT_EPOCH_LENGTH = 1_000_000
+
 
 @dataclass
 class CoreConfig:

@@ -32,11 +32,11 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Any, Callable
 
 from repro.cluster.faults import FaultPlan
 from repro.errors import ConfigurationError
+from repro.runtime.config import load_json_or_file
 from repro.sb.pbft.messages import PBFTMessage
 
 #: Outbound per-frame delay corresponding to slowdown factor 2.0 (seconds).
@@ -114,18 +114,11 @@ def parse_wan_spec(
         text = value.strip()
         if text in WAN_MODEL_NAMES:
             return text
-        if text.startswith("@"):
-            try:
-                text = Path(text[1:]).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise ConfigurationError(f"cannot read WAN matrix file: {exc}") from exc
-        try:
-            value = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"WAN spec must be one of {WAN_MODEL_NAMES} or a JSON delay "
-                f"matrix: {exc}"
-            ) from exc
+        value = load_json_or_file(
+            text,
+            what="WAN matrix",
+            invalid=f"WAN spec must be one of {WAN_MODEL_NAMES} or a JSON delay matrix",
+        )
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigurationError("WAN matrix must be a non-empty list of rows")
     matrix: list[tuple[float, ...]] = []
@@ -148,7 +141,9 @@ def wan_to_text(wan: str | tuple[tuple[float, ...], ...] | None) -> str | None:
         return None
     if isinstance(wan, str):
         return wan
-    return json.dumps([list(row) for row in wan])
+    # Compact: the text travels inside each replica's ``serve --config``
+    # argument, which Linux caps at 128 KiB.
+    return json.dumps([list(row) for row in wan], separators=(",", ":"))
 
 
 def wan_delay_map(
@@ -227,16 +222,7 @@ def fault_plan_from_json(
     entire experiment.  ``default_view_change_timeout`` applies when the JSON
     does not set one (the CLI threads its own flag through here).
     """
-    text = text.strip()
-    if text.startswith("@"):
-        try:
-            text = Path(text[1:]).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read fault plan file: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"fault plan is not valid JSON: {exc}") from exc
+    data = load_json_or_file(text, what="fault plan")
     if not isinstance(data, dict):
         raise ConfigurationError("fault plan must be a JSON object")
     known = {

@@ -426,9 +426,18 @@ class OrthrusClient:
         tx_id = getattr(message, "tx_id", None)
         if tx_id is None:
             return
+        # A reply counts for the replica whose connection carried it: one
+        # replica claiming other ids on its own socket must not forge f + 1.
+        if message.replica != replica_id:
+            logger.debug(
+                "client dropping reply from %d claiming replica %d",
+                replica_id,
+                message.replica,
+            )
+            return
         self._record_reply(
             tx_id,
-            message.replica,
+            replica_id,
             message.committed,
             getattr(message, "confirmed_at", None),
         )

@@ -14,14 +14,18 @@ fleet.  Scale-sensitive paths are engineered for ~100-replica runs:
 * ``transport="uds"`` puts every endpoint on a Unix domain socket under a
   private temp directory, skipping the TCP/IP stack for co-located replicas.
 
-Shutdown is graceful-first (a control-plane shutdown frame), then SIGTERM,
-then SIGKILL.  Configured with explicit hosts, the same ``repro serve``
-flags deploy the cluster across machines; this class only automates the
-localhost case.
+Each child gets its whole :class:`ReplicaRuntimeConfig` as one JSON
+argument (``repro serve --config``), so a child cannot build a different
+core or genesis state than the supervisor describes.  Shutdown is
+graceful-first (a control-plane shutdown frame), then SIGTERM, then SIGKILL.
+With explicit hosts in ``peers``, the same ``repro serve --config``
+documents deploy the cluster across machines; this class only automates
+the localhost case.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import socket
@@ -31,7 +35,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.cluster.faults import FaultPlan
@@ -44,11 +48,11 @@ from repro.runtime.chaos import (
 )
 from repro.runtime.config import (
     ReplicaRuntimeConfig,
+    ReplicaSettings,
     format_endpoint,
     is_uds_endpoint,
     uds_path,
 )
-from repro.workload.config import WorkloadConfig
 
 
 def free_port(host: str = "127.0.0.1") -> int:
@@ -83,24 +87,16 @@ def reserve_free_ports(count: int, host: str = "127.0.0.1") -> list[socket.socke
 
 
 @dataclass
-class ClusterSpec:
-    """Shape of a locally spawned cluster."""
+class ClusterSpec(ReplicaSettings):
+    """Shape of a locally spawned cluster.
+
+    The knobs every replica shares come from :class:`ReplicaSettings`; the
+    fields below describe the fleet and the supervisor.
+    """
 
     num_replicas: int = 4
-    num_instances: int | None = None
-    protocol: str = "orthrus"
     host: str = "127.0.0.1"
     base_port: int | None = None  # None: pick free ports automatically
-    batch_size: int = 64
-    batch_interval: float = 0.05
-    #: Blocks per epoch (checkpoint cadence).  The default matches
-    #: :class:`ReplicaRuntimeConfig`; durability runs want a small value so
-    #: snapshots actually get cut at test/chaos time scales.
-    epoch_length: int = 1_000_000
-    view_change_timeout: float = 10.0
-    workload: WorkloadConfig = field(
-        default_factory=lambda: WorkloadConfig(num_accounts=1024)
-    )
     #: Degradations applied to the cluster: stragglers and Byzantine
     #: abstention configure the replica processes at spawn; crashes and
     #: restarts are executed by a :class:`~repro.runtime.chaos.ChaosController`.
@@ -108,11 +104,6 @@ class ClusterSpec:
     #: ``"tcp"`` (default) or ``"uds"`` — Unix domain sockets under a
     #: private temp directory, for co-located replicas.
     transport: str = "tcp"
-    #: Crypto/codec worker processes per replica (0 = inline).
-    workers: int = 0
-    #: Observability master switch: ``False`` runs every replica with the
-    #: inert no-op registry (the A/B arm of the ``obs_overhead`` benchmark).
-    obs_enabled: bool = True
     #: Directory run artifacts live under (``replica-<i>/trace.jsonl``,
     #: ``replica-<i>/metrics.jsonl``, ``replica-<i>/stderr.log``).  ``None``
     #: auto-creates a ``repro-run-*`` temp directory when tracing is
@@ -123,35 +114,21 @@ class ClusterSpec:
     #: (``replica-<i>/wal.jsonl``, ``replica-<i>/snapshot-*.json``) so a
     #: killed replica can be restarted with full crash recovery (snapshot +
     #: WAL replay + peer state transfer).  Auto-creates a temp run dir when
-    #: none was configured.
+    #: none was configured.  Durability runs want a small ``epoch_length``
+    #: so snapshots actually get cut at test/chaos time scales.
     durability: bool = False
-    #: Cut a snapshot at most every N completed epochs (durability only).
-    snapshot_every_epochs: int = 1
     #: Fraction of transactions traced (0.0 = tracing off); the same
     #: deterministic tx-id hash decides sampling in every process.
     trace_sample: float = 0.0
-    #: Seconds between metrics-registry snapshots appended to each
-    #: replica's ``metrics.jsonl`` (written only when a run dir exists).
-    metrics_interval: float = 1.0
-    #: Stderr logging threshold and format for the replica processes.
-    log_level: str = "info"
-    log_format: str = "text"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.num_replicas < 4:
             raise ExperimentError("live clusters need at least 4 replicas")
         if self.transport not in ("tcp", "uds"):
             raise ExperimentError(f"unknown cluster transport {self.transport!r}")
-        if self.workers < 0:
-            raise ExperimentError("workers cannot be negative")
         if not 0.0 <= self.trace_sample <= 1.0:
             raise ExperimentError("trace_sample must be within [0, 1]")
-        if self.metrics_interval <= 0:
-            raise ExperimentError("metrics_interval must be positive")
-        if self.epoch_length < 1:
-            raise ExperimentError("epoch_length must be at least 1")
-        if self.snapshot_every_epochs < 1:
-            raise ExperimentError("snapshot_every_epochs must be at least 1")
         validate_fault_plan(self.faults, self.num_replicas)
 
     def endpoints(self) -> tuple[tuple[str, int], ...]:
@@ -250,99 +227,33 @@ class LocalCluster:
         if self.spec.durability:
             run_dir = str(self.replica_dir(replica_id))
         return ReplicaRuntimeConfig(
+            **self.spec.replica_settings(),
             replica_id=replica_id,
             peers=self.endpoints,
-            protocol=self.spec.protocol,
-            num_instances=self.spec.num_instances,
-            batch_size=self.spec.batch_size,
-            batch_interval=self.spec.batch_interval,
-            epoch_length=self.spec.epoch_length,
-            view_change_timeout=self.spec.view_change_timeout,
-            workload=self.spec.workload,
             send_delay=send_delay_for(self.spec.faults, replica_id),
             wan=wan_to_text(self.spec.faults.wan),
             byzantine_abstain=replica_id
             in abstaining_replicas(self.spec.faults, self.spec.num_replicas),
-            workers=self.spec.workers,
-            obs_enabled=self.spec.obs_enabled,
             trace_file=trace_file,
             trace_sample=self.spec.trace_sample,
             metrics_file=metrics_file,
-            metrics_interval=self.spec.metrics_interval,
-            log_level=self.spec.log_level,
-            log_format=self.spec.log_format,
             run_dir=run_dir,
             recovery=recovery,
-            snapshot_every_epochs=self.spec.snapshot_every_epochs,
         )
 
     def serve_command(
         self, replica_id: int, *, recovery: str = "snapshot"
     ) -> list[str]:
-        """The ``repro serve`` argv for one replica."""
-        spec = self.spec
-        command = [
+        """The ``repro serve`` argv for one replica: its whole config as JSON."""
+        config = asdict(self.runtime_config(replica_id, recovery=recovery))
+        return [
             sys.executable,
             "-m",
             "repro.cli",
             "serve",
-            "--replica-id",
-            str(replica_id),
-            "--peers",
-            ",".join(format_endpoint(endpoint) for endpoint in self.endpoints),
-            "--protocol",
-            spec.protocol,
-            "--batch-size",
-            str(spec.batch_size),
-            "--batch-interval",
-            str(spec.batch_interval),
-            "--view-change-timeout",
-            str(spec.view_change_timeout),
-            "--accounts",
-            str(spec.workload.num_accounts),
-            "--workload-seed",
-            str(spec.workload.seed),
+            "--config",
+            json.dumps(config, separators=(",", ":")),
         ]
-        if spec.num_instances is not None:
-            command += ["--instances", str(spec.num_instances)]
-        if spec.epoch_length != 1_000_000:
-            command += ["--epoch-length", str(spec.epoch_length)]
-        runtime = self.runtime_config(replica_id, recovery=recovery)
-        if runtime.run_dir is not None:
-            command += ["--run-dir", runtime.run_dir]
-            if recovery != "snapshot":
-                command += ["--recovery", recovery]
-            if spec.snapshot_every_epochs != 1:
-                command += ["--snapshot-every-epochs", str(spec.snapshot_every_epochs)]
-        if runtime.send_delay > 0:
-            command += ["--send-delay", str(runtime.send_delay)]
-        if runtime.wan is not None:
-            command += ["--wan", runtime.wan]
-        if runtime.byzantine_abstain:
-            command += ["--byzantine-abstain"]
-        if spec.workers > 0:
-            command += ["--workers", str(spec.workers)]
-        if not spec.obs_enabled:
-            command += ["--no-obs"]
-        if runtime.trace_file is not None:
-            command += [
-                "--trace-file",
-                runtime.trace_file,
-                "--trace-sample",
-                str(runtime.trace_sample),
-            ]
-        if runtime.metrics_file is not None:
-            command += [
-                "--metrics-file",
-                runtime.metrics_file,
-                "--metrics-interval",
-                str(runtime.metrics_interval),
-            ]
-        if spec.log_level != "info":
-            command += ["--log-level", spec.log_level]
-        if spec.log_format != "text":
-            command += ["--log-format", spec.log_format]
-        return command
 
     # -- lifecycle -----------------------------------------------------------
 

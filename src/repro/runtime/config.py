@@ -3,17 +3,24 @@
 Every replica process must build *exactly* the same consensus core (protocol,
 instance count, batch policy) over *exactly* the same genesis state (the
 account universe), or the replicas would diverge before the first block.
-:class:`ReplicaRuntimeConfig` is the single source of those parameters; the
-CLI turns it into ``repro serve`` flags and back.
+:class:`ReplicaSettings` declares those cluster-wide knobs once;
+:class:`ReplicaRuntimeConfig` adds what differs per replica.  A supervisor
+hands a replica process its whole config as the JSON of
+:func:`dataclasses.asdict` (``repro serve --config``), and
+:meth:`ReplicaRuntimeConfig.from_dict` rebuilds it field for field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
+from typing import Any
 
-from repro.core.config import CoreConfig
+from repro.core.config import DEFAULT_EPOCH_LENGTH, CoreConfig
 from repro.errors import ConfigurationError
 from repro.ledger.state import StateStore
+from repro.obs.logging import LOG_FORMATS, LOG_LEVELS
 from repro.protocols.registry import build_core
 from repro.workload.accounts import AccountUniverse
 from repro.workload.config import WorkloadConfig
@@ -54,6 +61,35 @@ def format_endpoint(endpoint: tuple[str, int]) -> str:
     return f"{host}:{port}"
 
 
+def _peer_endpoint(entry: Any) -> tuple[str, int]:
+    """A ``(host, port)`` pair from a JSON ``[host, port]`` or ``host:port``."""
+    if isinstance(entry, list) and len(entry) == 2:
+        entry = format_endpoint((str(entry[0]), entry[1]))
+    if not isinstance(entry, str):
+        raise ConfigurationError(f"endpoint {entry!r} is not host:port")
+    return parse_endpoint(entry)
+
+
+def load_json_or_file(text: str, *, what: str, invalid: str | None = None) -> Any:
+    """Decode JSON text, or the JSON file an ``@path`` argument names.
+
+    ``what`` names the document in the unreadable-file error; ``invalid``
+    prefixes the malformed-JSON error (default: "<what> is not valid JSON").
+    """
+    text = text.strip()
+    if text.startswith("@"):
+        try:
+            text = Path(text[1:]).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read {what} file: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(
+            f"{invalid or what + ' is not valid JSON'}: {exc}"
+        ) from exc
+
+
 def is_uds_endpoint(endpoint: tuple[str, int]) -> bool:
     """Whether an endpoint pair names a Unix domain socket."""
     return endpoint[0].startswith(UDS_PREFIX)
@@ -64,13 +100,15 @@ def uds_path(endpoint: tuple[str, int]) -> str:
     return endpoint[0][len(UDS_PREFIX) :]
 
 
-@dataclass
-class ReplicaRuntimeConfig:
-    """Everything one live replica process needs to participate.
+@dataclass(kw_only=True)
+class ReplicaSettings:
+    """The knobs every replica of one cluster shares, declared once.
+
+    :class:`ReplicaRuntimeConfig` (one replica) and
+    :class:`~repro.runtime.cluster.ClusterSpec` (a supervised fleet) both
+    inherit these fields, their defaults and their checks.
 
     Attributes:
-        replica_id: This replica's index into ``peers``.
-        peers: One ``(host, port)`` listen endpoint per replica, in id order.
         protocol: Consensus core to build (``orthrus`` or a baseline).
         num_instances: SB instances (defaults to one per replica).
         batch_size: Leader batch cut size.
@@ -86,6 +124,67 @@ class ReplicaRuntimeConfig:
         workload: Account-universe parameters; the genesis state every
             replica populates before serving.  Clients must generate traffic
             from the same universe.
+        workers: Crypto/codec worker processes per replica (0 = do all
+            work inline on the event loop; the right choice for small
+            clusters and single-core hosts).
+        obs_enabled: Observability master switch.  ``False`` swaps the
+            metrics registry for the inert no-op registry and disables
+            tracing/snapshots (the A/B arm of the ``obs_overhead``
+            benchmark).
+        metrics_interval: Seconds between metrics snapshots.
+        log_level: Stderr logging threshold (debug/info/warning/error).
+        log_format: ``"text"`` or ``"json"`` (one JSON object per line).
+        snapshot_every_epochs: Cut a snapshot at most every N completed
+            epoch checkpoints (durability only).
+    """
+
+    protocol: str = "orthrus"
+    num_instances: int | None = None
+    batch_size: int = 64
+    batch_interval: float = 0.05
+    epoch_length: int = DEFAULT_EPOCH_LENGTH
+    view_change_timeout: float = 10.0
+    workload: WorkloadConfig = field(
+        default_factory=lambda: WorkloadConfig(num_accounts=1024)
+    )
+    workers: int = 0
+    obs_enabled: bool = True
+    metrics_interval: float = 1.0
+    log_level: str = "info"
+    log_format: str = "text"
+    snapshot_every_epochs: int = 1
+
+    def __post_init__(self) -> None:
+        if self.batch_interval <= 0:
+            raise ConfigurationError("batch_interval must be positive")
+        if self.epoch_length < 1:
+            raise ConfigurationError("epoch_length must be at least 1")
+        if self.workers < 0:
+            raise ConfigurationError("workers cannot be negative")
+        if self.metrics_interval <= 0:
+            raise ConfigurationError("metrics_interval must be positive")
+        if self.log_level not in LOG_LEVELS:
+            raise ConfigurationError(f"unknown log level {self.log_level!r}")
+        if self.log_format not in LOG_FORMATS:
+            raise ConfigurationError(f"unknown log format {self.log_format!r}")
+        if self.snapshot_every_epochs < 1:
+            raise ConfigurationError("snapshot_every_epochs must be at least 1")
+
+    def replica_settings(self) -> dict[str, Any]:
+        """These shared fields alone, as keywords for another settings class."""
+        return {item.name: getattr(self, item.name) for item in fields(ReplicaSettings)}
+
+
+@dataclass
+class ReplicaRuntimeConfig(ReplicaSettings):
+    """Everything one live replica process needs to participate.
+
+    The cluster-wide knobs come from :class:`ReplicaSettings`; the fields
+    below differ per replica.
+
+    Attributes:
+        replica_id: This replica's index into ``peers``.
+        peers: One ``(host, port)`` listen endpoint per replica, in id order.
         send_delay: Chaos: seconds every outbound replica-to-replica frame is
             held before sending (straggler injection; 0.0 = healthy).
         wan: WAN emulation spec: ``None`` (no emulation), a model name
@@ -97,13 +196,6 @@ class ReplicaRuntimeConfig:
             instances it currently leads and silently drops its consensus
             messages for every other instance (the paper's undetectable
             Byzantine abstention, Fig. 8).
-        workers: Crypto/codec worker processes for this replica (0 = do all
-            work inline on the event loop; the right choice for small
-            clusters and single-core hosts).
-        obs_enabled: Observability master switch.  ``False`` swaps the
-            metrics registry for the inert no-op registry and disables
-            tracing/snapshots (the A/B arm of the ``obs_overhead``
-            benchmark).
         trace_file: JSONL file this replica appends sampled transaction
             span events to (``None`` = no tracing).
         trace_sample: Fraction of transactions traced, decided
@@ -111,9 +203,6 @@ class ReplicaRuntimeConfig:
             transactions (see :func:`repro.obs.trace.sample_tx`).
         metrics_file: JSONL file periodic registry snapshots are appended
             to (``None`` = no snapshots).
-        metrics_interval: Seconds between metrics snapshots.
-        log_level: Stderr logging threshold (debug/info/warning/error).
-        log_format: ``"text"`` or ``"json"`` (one JSON object per line).
         run_dir: Directory for this replica's durable state (WAL +
             snapshots).  ``None`` — the default, and the only mode the
             simulator ever sees — disables durability entirely.
@@ -122,45 +211,27 @@ class ReplicaRuntimeConfig:
             snapshot plus the WAL suffix (falling back to full WAL replay,
             then to peers); ``"genesis"`` wipes the durable state and
             rejoins from the genesis state via state transfer alone.
-        snapshot_every_epochs: Cut a snapshot at most every N completed
-            epoch checkpoints (durability only).
     """
 
     replica_id: int
     peers: tuple[tuple[str, int], ...]
-    protocol: str = "orthrus"
-    num_instances: int | None = None
-    batch_size: int = 64
-    batch_interval: float = 0.05
-    epoch_length: int = 1_000_000
-    view_change_timeout: float = 10.0
-    workload: WorkloadConfig = field(
-        default_factory=lambda: WorkloadConfig(num_accounts=1024)
-    )
     send_delay: float = 0.0
     wan: str | None = None
     byzantine_abstain: bool = False
-    workers: int = 0
-    obs_enabled: bool = True
     trace_file: str | None = None
     trace_sample: float = 1.0
     metrics_file: str | None = None
-    metrics_interval: float = 1.0
-    log_level: str = "info"
-    log_format: str = "text"
     run_dir: str | None = None
     recovery: str = "snapshot"
-    snapshot_every_epochs: int = 1
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if len(self.peers) < 4:
             raise ConfigurationError("live clusters need at least 4 replicas")
         if not 0 <= self.replica_id < len(self.peers):
             raise ConfigurationError(
                 f"replica id {self.replica_id} out of range for {len(self.peers)} peers"
             )
-        if self.batch_interval <= 0:
-            raise ConfigurationError("batch_interval must be positive")
         if self.send_delay < 0:
             raise ConfigurationError("send_delay cannot be negative")
         if self.wan is not None:
@@ -169,18 +240,36 @@ class ReplicaRuntimeConfig:
             from repro.runtime.chaos import parse_wan_spec
 
             parse_wan_spec(self.wan)
-        if self.workers < 0:
-            raise ConfigurationError("workers cannot be negative")
         if not 0.0 <= self.trace_sample <= 1.0:
             raise ConfigurationError("trace_sample must be within [0, 1]")
-        if self.metrics_interval <= 0:
-            raise ConfigurationError("metrics_interval must be positive")
         if self.recovery not in ("snapshot", "genesis"):
             raise ConfigurationError(
                 f"recovery mode {self.recovery!r} is not 'snapshot' or 'genesis'"
             )
-        if self.snapshot_every_epochs < 1:
-            raise ConfigurationError("snapshot_every_epochs must be at least 1")
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "ReplicaRuntimeConfig":
+        """Rebuild a config from its :func:`dataclasses.asdict` form.
+
+        This is what ``repro serve --config`` reads.  Peers may be
+        ``[host, port]`` pairs or ``host:port`` strings; unknown keys are an
+        error, so a typo cannot silently fall back to a default.
+        """
+        if not isinstance(data, dict):
+            raise ConfigurationError("replica config must be a JSON object")
+        unknown = set(data) - {item.name for item in fields(cls)}
+        if unknown:
+            raise ConfigurationError(
+                f"unknown replica config keys: {', '.join(sorted(unknown))}"
+            )
+        values = dict(data)
+        try:
+            values["peers"] = tuple(_peer_endpoint(peer) for peer in data.get("peers", ()))
+            if "workload" in data:
+                values["workload"] = WorkloadConfig(**data["workload"])
+            return cls(**values)
+        except TypeError as exc:
+            raise ConfigurationError(f"malformed replica config: {exc}") from None
 
     @property
     def num_replicas(self) -> int:

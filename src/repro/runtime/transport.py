@@ -178,6 +178,9 @@ class AsyncioTransport:
         #: consensus messages for instances the replica does not lead).
         #: Returning False silently discards the message.
         self.outbound_filter: Callable[[Any], bool] | None = None
+        #: Reconnect jitter source, seeded by the node id so one node's
+        #: redial schedule does not depend on global ``random`` state.
+        self._jitter = random.Random(node_id)
         self._loop = asyncio.get_running_loop()
         #: Per-peer frame queues; entries are ``(due_time, frame)`` where
         #: ``due_time`` is 0.0 on the healthy fast path.
@@ -435,6 +438,10 @@ class AsyncioTransport:
 
     # -- outbound connections ------------------------------------------------
 
+    def jittered(self, seconds: float) -> float:
+        """``seconds`` scaled by a uniform factor in [0.5, 1.5) (redial jitter)."""
+        return seconds * (0.5 + self._jitter.random())
+
     def _ensure_peer(self, peer_id: int) -> "asyncio.Queue[tuple[float, bytes]]":
         queue = self._queues.get(peer_id)
         if queue is None:
@@ -478,7 +485,7 @@ class AsyncioTransport:
                     purged += 1
                 if purged:
                     self._c_partition_drops.inc(purged)
-                await asyncio.sleep(PARTITION_RETRY * (0.5 + random.random()))
+                await asyncio.sleep(self.jittered(PARTITION_RETRY))
                 continue
             try:
                 reader, writer = await connect_endpoint(endpoint)
@@ -486,7 +493,7 @@ class AsyncioTransport:
                 # Jittered exponential backoff: after a heal or mass restart
                 # every writer in the mesh wakes at once; the jitter spreads
                 # the redials so the listener is not stampeded.
-                await asyncio.sleep(backoff * (0.5 + random.random()))
+                await asyncio.sleep(self.jittered(backoff))
                 backoff = min(backoff * 2, RECONNECT_MAX)
                 continue
             backoff = RECONNECT_INITIAL

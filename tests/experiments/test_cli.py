@@ -101,7 +101,8 @@ class TestCLI:
         assert declared.group(1) == repro.__version__
 
     def test_serve_rejects_bad_peers(self, capsys):
-        exit_code = main(["serve", "--replica-id", "0", "--peers", "not-an-endpoint"])
+        config = '{"replica_id": 0, "peers": ["not-an-endpoint"]}'
+        exit_code = main(["serve", "--config", config])
         assert exit_code == 2
         assert "host:port" in capsys.readouterr().err
 

@@ -8,6 +8,7 @@ pieces the 100-replica benchmark leans on, tested at unit scale.
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
 import subprocess
 import sys
@@ -16,13 +17,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.cli import _build_parser, _serve_config, main
+from repro.cluster.faults import FaultPlan
+from repro.errors import ConfigurationError, ExperimentError
 from repro.ledger.transactions import reset_transaction_counter
 from repro.runtime.client import ClientConfig, OrthrusClient
 from repro.runtime.cluster import ClusterSpec, LocalCluster, reserve_free_ports
 from repro.runtime.config import ReplicaRuntimeConfig, is_uds_endpoint
 from repro.runtime.server import ReplicaServer
 from repro.workload.config import WorkloadConfig
+
+
+def served_config(command: list[str]) -> ReplicaRuntimeConfig:
+    """The config ``repro serve`` builds from a ``serve_command`` argv."""
+    assert command[1:4] == ["-m", "repro.cli", "serve"]
+    return _serve_config(_build_parser().parse_args(command[3:]))
 
 
 class TestReserveFreePorts:
@@ -49,8 +58,12 @@ class TestClusterSpecValidation:
             ClusterSpec(num_replicas=4, transport="carrier-pigeon")
 
     def test_rejects_negative_workers(self):
-        with pytest.raises(ExperimentError, match="workers"):
+        with pytest.raises(ConfigurationError, match="workers"):
             ClusterSpec(num_replicas=4, workers=-1)
+
+    def test_rejects_a_bad_replica_setting_at_construction(self):
+        with pytest.raises(ConfigurationError, match="batch_interval"):
+            ClusterSpec(batch_interval=0)
 
     def test_uds_spec_is_valid(self):
         spec = ClusterSpec(num_replicas=4, transport="uds", workers=2)
@@ -91,20 +104,99 @@ class TestEndpointSelection:
             ClusterSpec(num_replicas=4, transport="uds", workers=2)
         )
         try:
-            command = cluster.serve_command(0)
-            assert "--workers" in command
-            assert command[command.index("--workers") + 1] == "2"
-            peers = command[command.index("--peers") + 1]
-            assert peers.count("unix:") == 4
+            config = served_config(cluster.serve_command(0))
+            assert config.workers == 2
+            assert config.peers == cluster.endpoints
+            assert all(is_uds_endpoint(peer) for peer in config.peers)
         finally:
             cluster.stop()
 
     def test_serve_command_omits_workers_when_inline(self):
         cluster = LocalCluster(ClusterSpec(num_replicas=4))
         try:
-            assert "--workers" not in cluster.serve_command(0)
+            assert served_config(cluster.serve_command(0)).workers == 0
         finally:
             cluster.stop()
+
+
+def _every_field_changed(run_dir: str, *, obs_enabled: bool) -> ClusterSpec:
+    """A spec with every field off its default (``obs_enabled`` as given)."""
+    delays = [[0.0 if i == j else 0.01 * (i + j) for j in range(5)] for i in range(5)]
+    return ClusterSpec(
+        protocol="orthrus-dep",
+        num_instances=3,
+        batch_size=17,
+        batch_interval=0.03,
+        epoch_length=16,
+        view_change_timeout=3.5,
+        workload=WorkloadConfig(
+            num_accounts=64,
+            initial_balance=7,
+            num_shared_objects=3,
+            zipf_exponent=1.3,
+            seed=5,
+        ),
+        workers=1,
+        obs_enabled=obs_enabled,
+        metrics_interval=0.5,
+        log_level="debug",
+        log_format="json",
+        snapshot_every_epochs=3,
+        num_replicas=5,
+        host="localhost",
+        base_port=7700,
+        faults=FaultPlan(stragglers={1: 10.0}, wan=delays, undetectable_faults=1),
+        transport="uds",
+        run_dir=run_dir,
+        durability=True,
+        trace_sample=0.5,
+    )
+
+
+class TestServeConfig:
+    @pytest.mark.parametrize("obs_enabled", [False, True])
+    @pytest.mark.parametrize("recovery", ["snapshot", "genesis"])
+    def test_the_child_serves_exactly_the_supervisors_config(
+        self, tmp_path, obs_enabled, recovery
+    ):
+        cluster = LocalCluster(_every_field_changed(str(tmp_path), obs_enabled=obs_enabled))
+        try:
+            for replica_id in range(5):
+                expected = cluster.runtime_config(replica_id, recovery=recovery)
+                served = served_config(
+                    cluster.serve_command(replica_id, recovery=recovery)
+                )
+                assert served == expected
+                assert served.genesis_digest() == expected.genesis_digest()
+            assert served.byzantine_abstain and not cluster.runtime_config(0).byzantine_abstain
+            assert cluster.runtime_config(1).send_delay > 0
+        finally:
+            cluster.stop()
+
+    def test_unknown_keys_exit_2(self, capsys):
+        config = {"replica_id": 0, "peers": ["127.0.0.1:1"] * 4, "batch_sise": 8}
+        assert main(["serve", "--config", json.dumps(config)]) == 2
+        assert "batch_sise" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "peers", [[["127.0.0.1"]] * 4, [["127.0.0.1", 70000]] * 4, [5] * 4]
+    )
+    def test_bad_peer_lists_exit_2(self, capsys, peers):
+        config = {"replica_id": 0, "peers": peers}
+        assert main(["serve", "--config", json.dumps(config)]) == 2
+        assert "error: endpoint" in capsys.readouterr().err
+
+    def test_config_file_and_host_port_peers(self, tmp_path):
+        path = tmp_path / "replica-2.json"
+        path.write_text(
+            json.dumps({"replica_id": 2, "peers": [f"10.0.0.{i}:7000" for i in range(4)]})
+        )
+        config = served_config(
+            [sys.executable, "-m", "repro.cli", "serve", "--config", f"@{path}"]
+        )
+        assert config == ReplicaRuntimeConfig(
+            replica_id=2, peers=tuple((f"10.0.0.{i}", 7000) for i in range(4))
+        )
 
 
 class TestExitSupervision:

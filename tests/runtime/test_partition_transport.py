@@ -10,6 +10,7 @@ due-time mechanism as straggler injection, but per destination.
 from __future__ import annotations
 
 import asyncio
+import random
 
 from repro.runtime.codec import decode_envelopes
 from repro.runtime.control import StatusRequest
@@ -228,5 +229,24 @@ class TestWanDelays:
                 if isinstance(m, StatusRequest)
             ]
             assert arrivals and arrivals[0] < queued + 1.0
+
+        run(scenario())
+
+
+class TestReconnectJitter:
+    def test_same_node_id_draws_the_same_delays(self):
+        async def scenario():
+            peers = {0: ("127.0.0.1", 1), 1: ("127.0.0.1", 2)}
+            first, second, other = (
+                AsyncioTransport(node_id, peers) for node_id in (1, 1, 0)
+            )
+            random.seed(1)
+            drawn = [first.jittered(1.0) for _ in range(8)]
+            random.seed(2)
+            assert [second.jittered(1.0) for _ in range(8)] == drawn
+            assert [other.jittered(1.0) for _ in range(8)] != drawn
+            assert all(0.5 <= delay < 1.5 for delay in drawn)
+            for transport in (first, second, other):
+                await transport.close()
 
         run(scenario())

@@ -27,6 +27,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cli import _build_parser, _serve_config
 from repro.errors import ConfigurationError, ExperimentError
 from repro.ledger.transactions import reset_transaction_counter
 from repro.runtime.client import ClientConfig, ClientError, OrthrusClient
@@ -470,6 +471,11 @@ def test_restart_replica_rejects_unknown_recovery_mode():
         cluster.stop()
 
 
+def served_config(command: list[str]) -> ReplicaRuntimeConfig:
+    """The config ``repro serve`` builds from a ``serve_command`` argv."""
+    return _serve_config(_build_parser().parse_args(command[3:]))
+
+
 def test_serve_command_carries_durability_flags(tmp_path):
     spec = ClusterSpec(
         durability=True,
@@ -479,13 +485,13 @@ def test_serve_command_carries_durability_flags(tmp_path):
     )
     cluster = LocalCluster(spec)
     try:
-        command = cluster.serve_command(0, recovery="genesis")
-        assert "--run-dir" in command
-        assert command[command.index("--epoch-length") + 1] == "16"
-        assert command[command.index("--recovery") + 1] == "genesis"
-        assert command[command.index("--snapshot-every-epochs") + 1] == "2"
-        # Snapshot recovery is the default and stays off the command line.
-        assert "--recovery" not in cluster.serve_command(0)
+        config = served_config(cluster.serve_command(0, recovery="genesis"))
+        assert config.run_dir == str(tmp_path / "replica-0")
+        assert config.epoch_length == 16
+        assert config.recovery == "genesis"
+        assert config.snapshot_every_epochs == 2
+        # Snapshot recovery is the default.
+        assert served_config(cluster.serve_command(0)).recovery == "snapshot"
     finally:
         cluster.stop()
 
